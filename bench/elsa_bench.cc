@@ -30,11 +30,12 @@
  * concurrently on it, sharing the mode-report cache. Entry output is
  * captured per entry and printed in suite order, and every simulated
  * metric is identical at any thread count; only the wall_seconds
- * metrics (advisory in scripts/bench_compare.py) and the
- * kernel_throughput timings (gated, but with the wide
- * kernel-throughput tolerance class) vary.
+ * metrics and the kernel_throughput timings (both advisory in
+ * scripts/bench_compare.py) vary; kernel_throughput's gated metrics
+ * are in-process SIMD-over-scalar speedup ratios.
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdarg>
@@ -430,20 +431,62 @@ secondsPerCall(Fn&& fn, double min_seconds)
     return elapsed / static_cast<double>(calls);
 }
 
+/**
+ * Best-of-`rounds` seconds per call of fn(scalar table) and
+ * fn(dispatched table), measured interleaved: each round times one
+ * sample of `calls` calls on each table back to back, so both see the
+ * same machine state, and the fastest sample of each is the estimate
+ * least disturbed by preemption or other load. Returns {scalar,
+ * dispatched} seconds per call.
+ */
+template <typename Fn>
+std::array<double, 2>
+interleavedBestSeconds(Fn&& fn, int rounds, int calls)
+{
+    const simd::KernelTable* tables[2] = {&simd::scalarKernels(),
+                                          &simd::kernels()};
+    std::array<double, 2> best = {1e300, 1e300};
+    for (const simd::KernelTable* table : tables) {
+        fn(*table); // Warm-up: faults in code and data.
+    }
+    for (int round = 0; round < rounds; ++round) {
+        for (std::size_t t = 0; t < 2; ++t) {
+            // elsa-lint: allow(no-wallclock): measures host kernel throughput; never feeds a simulated result
+            const auto start = std::chrono::steady_clock::now();
+            for (int call = 0; call < calls; ++call) {
+                fn(*tables[t]);
+            }
+            const double seconds =
+                std::chrono::duration<double>(
+                    // elsa-lint: allow(no-wallclock): measures host kernel throughput; never feeds a simulated result
+                    std::chrono::steady_clock::now() - start)
+                    .count()
+                / static_cast<double>(calls);
+            best[t] = std::min(best[t], seconds);
+        }
+    }
+    return best;
+}
+
 obs::RunManifest
 runKernelThroughput(SuiteContext& ctx, EntryLog& log)
 {
-    // Measured wall throughput of the dispatched SIMD hot-path
-    // kernels (src/common/simd/): the batched Hamming scan, packed
-    // SRP hashing, and the fused candidate-selection pass. Unlike
-    // every other metric in the suite these are machine-dependent by
-    // design -- they exist to catch kernel/dispatch regressions (an
-    // accidental fall-back to scalar shows up as a ~5x+ drop), so
-    // scripts/bench_compare.py gates them with the wide
-    // kernel-throughput tolerance class rather than the advisory
-    // wall-time handling. Fixed seeds; the *selected ids and hashes*
-    // are identical on every machine, only the timings move.
+    // Measured host speed of the dispatched SIMD hot-path kernels
+    // (src/common/simd/): the batched Hamming scan, the lane-per-key
+    // score tile, packed SRP hashing, and the fused
+    // candidate-selection pass.
+    //
+    // The gated metrics are the *_simd_speedup ratios: dispatched
+    // over scalar table throughput of the same kernel on the same
+    // data, measured interleaved, best of N. Load and machine speed
+    // move both sides together, so the ratio stays put where the
+    // absolute rates (advisory in scripts/bench_compare.py) swing
+    // with whatever else runs; an accidental scalar fallback or a
+    // broken SIMD kernel collapses it to ~1. Fixed seeds; the
+    // *selected ids and hashes* are identical on every machine, only
+    // the timings move.
     const std::size_t n = 512;
+    const int rounds = ctx.quick ? 15 : 60;
     const double min_seconds = ctx.quick ? 0.02 : 0.1;
     Rng rng(2);
     const auto hasher = DenseSrpHasher::makeRandom(64, 64, rng);
@@ -465,16 +508,30 @@ runKernelThroughput(SuiteContext& ctx, EntryLog& log)
     const double cutoff = 0.5 * max_norm;
 
     std::vector<std::uint32_t> distances(n);
-    const double hamming_spc = secondsPerCall(
-        [&] {
-            hammingDistanceBatch(query, hashes, 0, n,
-                                 distances.data());
+    const std::array<double, 2> hamming_spc = interleavedBestSeconds(
+        [&](const simd::KernelTable& table) {
+            table.hamming_batch(query.words().data(), hashes.data(),
+                                hashes.wordsPerRow(), n,
+                                distances.data());
         },
-        min_seconds);
+        rounds, /*calls=*/200);
     const double key_bytes = static_cast<double>(
         n * hashes.wordsPerRow() * sizeof(std::uint64_t));
     const double hamming_gibps =
-        key_bytes / hamming_spc / (1024.0 * 1024.0 * 1024.0);
+        key_bytes / hamming_spc[1] / (1024.0 * 1024.0 * 1024.0);
+    const double hamming_speedup = hamming_spc[0] / hamming_spc[1];
+
+    const std::size_t d = input.key.cols();
+    std::vector<double> scores(n);
+    const std::array<double, 2> score_spc = interleavedBestSeconds(
+        [&](const simd::KernelTable& table) {
+            table.score_rows(input.query.row(0), input.key.data(), d, d,
+                             n, scores.data());
+        },
+        rounds, /*calls=*/10);
+    const double score_keys_per_sec =
+        static_cast<double>(n) / score_spc[1];
+    const double score_speedup = score_spc[0] / score_spc[1];
 
     HashMatrix hashed;
     const double hash_spc = secondsPerCall(
@@ -497,9 +554,11 @@ runKernelThroughput(SuiteContext& ctx, EntryLog& log)
         static_cast<double>(n) / select_spc;
 
     log.add("  simd level: %s\n", simd::kernels().name);
-    log.add("  hamming batch: %.2f GiB/s (%zu-bit hashes, "
-            "%zu keys)\n",
-            hamming_gibps, hashes.bits(), n);
+    log.add("  hamming batch: %.2f GiB/s, %.2fx scalar (%zu-bit "
+            "hashes, %zu keys)\n",
+            hamming_gibps, hamming_speedup, hashes.bits(), n);
+    log.add("  score tile: %.3g keys/s, %.2fx scalar (d = %zu)\n",
+            score_keys_per_sec, score_speedup, d);
     log.add("  srp hashing: %.3g hashes/s\n", srp_hashes_per_sec);
     log.add("  fused candidate selection: %.3g keys/s "
             "(%zu of %zu selected)\n",
@@ -511,7 +570,11 @@ runKernelThroughput(SuiteContext& ctx, EntryLog& log)
     // the metrics section, and the level legitimately differs
     // between machines (and under ELSA_SIMD=scalar).
     manifest.set("config", "simd_level", simd::kernels().name);
+    manifest.set("metrics", "hamming_simd_speedup", hamming_speedup);
+    manifest.set("metrics", "score_tile_simd_speedup", score_speedup);
     manifest.set("metrics", "hamming_gibps", hamming_gibps);
+    manifest.set("metrics", "score_tile_keys_per_sec",
+                 score_keys_per_sec);
     manifest.set("metrics", "srp_hashes_per_sec",
                  srp_hashes_per_sec);
     manifest.set("metrics", "candidate_select_keys_per_sec",

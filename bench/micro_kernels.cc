@@ -2,14 +2,16 @@
  * @file
  * Google-benchmark microbenchmarks of the hot software kernels:
  * hashing (dense vs Kronecker), Hamming distance, candidate
- * selection, exact vs approximate attention, and the LUT functional
- * units. These quantify the software-side cost the paper discusses
+ * selection, the score tile vs the dot loop it replaces, exact vs
+ * approximate attention, the custom-float quantizers, and the LUT
+ * functional units. These quantify the software-side cost the paper discusses
  * in Section IV-A (a GPU/CPU cannot profit from the approximation;
  * the specialized datapath can).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -17,16 +19,17 @@
 
 #include "attention/approx.h"
 #include "attention/exact.h"
-#include "bench_common.h"
-#include "attention/exact.h"
 #include "attention/threshold.h"
+#include "bench_common.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd/simd.h"
+#include "fixed/custom_float.h"
 #include "fixed/units.h"
 #include "lsh/calibration.h"
 #include "lsh/candidates.h"
 #include "lsh/srp.h"
+#include "tensor/ops.h"
 #include "workload/generator.h"
 #include "workload/model.h"
 
@@ -112,6 +115,93 @@ BM_HammingDistancePairwise(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * hashes.size());
 }
 BENCHMARK(BM_HammingDistancePairwise);
+
+void
+BM_ScoreTile(benchmark::State& state)
+{
+    // One query against n keys on the dispatched lane-per-key tile
+    // (the scores of threshold learning and exact attention).
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const AttentionInput input = benchInput(n);
+    std::vector<double> scores(n);
+    for (auto _ : state) {
+        scoreRows(input.query.row(0), input.key, 0, n, scores.data());
+        benchmark::DoNotOptimize(scores.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+    state.SetLabel(simd::kernels().name);
+}
+BENCHMARK(BM_ScoreTile)->Arg(128)->Arg(512);
+
+void
+BM_ScoreDotLoop(benchmark::State& state)
+{
+    // The loop the score tile replaces, one dependent add chain per
+    // key; identical results.
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const AttentionInput input = benchInput(n);
+    std::vector<double> scores(n);
+    for (auto _ : state) {
+        for (std::size_t j = 0; j < n; ++j) {
+            scores[j] = dot(input.query.row(0), input.key.row(j),
+                            input.d());
+        }
+        benchmark::DoNotOptimize(scores.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ScoreDotLoop)->Arg(128)->Arg(512);
+
+/** Datapath-like custom-float inputs: exponentiated scores times
+ *  values spanning many binades, both signs. */
+std::vector<double>
+customFloatInputs()
+{
+    Rng rng(5);
+    std::vector<double> values(4096);
+    for (double& v : values) {
+        v = std::exp(rng.uniform(-20.0, 20.0)) * rng.gaussian();
+    }
+    return values;
+}
+
+void
+BM_QuantizeCustomFloat(benchmark::State& state)
+{
+    // Arg 0: the frexp/ldexp reference; arg 1: the IEEE-bit form.
+    const bool fast = state.range(0) == 1;
+    const std::vector<double> values = customFloatInputs();
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (const double v : values) {
+            sum += fast ? quantizeCustomFloatFast(v)
+                        : quantizeToCustomFloat(v);
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations() * values.size());
+    state.SetLabel(fast ? "ieee_bits" : "reference");
+}
+BENCHMARK(BM_QuantizeCustomFloat)->Arg(0)->Arg(1);
+
+void
+BM_AccumulateCustomFloat(benchmark::State& state)
+{
+    // The attention datapath's d-wide acc = q(acc + e * v) update on
+    // the dispatched vector kernel.
+    const std::size_t d = 64;
+    const AttentionInput input = benchInput(d);
+    std::vector<double> acc(d, 0.0);
+    double e = 1.0;
+    for (auto _ : state) {
+        accumulateCustomFloat(acc.data(), e, input.value.row(0), d);
+        e = e > 1e6 ? 1.0 : e * 1.5;
+        benchmark::DoNotOptimize(acc.data());
+    }
+    state.SetItemsProcessed(state.iterations() * d);
+    state.SetLabel(simd::kernels().name);
+}
+BENCHMARK(BM_AccumulateCustomFloat);
 
 void
 BM_CandidateSelection(benchmark::State& state)

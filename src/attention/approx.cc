@@ -111,11 +111,9 @@ ApproxSelfAttention::run(const AttentionInput& input,
         result.stats.candidates_per_query[i] = cands.size();
 
         // Exact dot products and softmax restricted to candidates.
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            scores[c] = dot(q, input.key.row(cands[c]), d);
-        }
+        scores.resize(cands.size());
+        scoreGathered(input.query.row(i), input.key, cands.data(),
+                      cands.size(), scores.data());
         softmaxInPlace(scores);
         float* out = result.output.row(i);
         for (std::size_t c = 0; c < cands.size(); ++c) {
@@ -160,11 +158,9 @@ ApproxSelfAttention::runCausal(const AttentionInput& input,
         }
         result.stats.candidates_per_query[i] = cands.size();
 
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            scores[c] = dot(q, input.key.row(cands[c]), d);
-        }
+        scores.resize(cands.size());
+        scoreGathered(input.query.row(i), input.key, cands.data(),
+                      cands.size(), scores.data());
         softmaxInPlace(scores);
         float* out = result.output.row(i);
         for (std::size_t c = 0; c < cands.size(); ++c) {
@@ -195,12 +191,12 @@ ApproxSelfAttention::attentionOverCandidates(
         const auto& cands = candidates[i];
         ELSA_CHECK(!cands.empty(),
                    "empty candidate list for query " << i);
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            ELSA_CHECK(cands[c] < n, "candidate index out of range");
-            scores[c] = dot(q, input.key.row(cands[c]), d);
+        for (const std::uint32_t key : cands) {
+            ELSA_CHECK(key < n, "candidate index out of range");
         }
+        scores.resize(cands.size());
+        scoreGathered(input.query.row(i), input.key, cands.data(),
+                      cands.size(), scores.data());
         softmaxInPlace(scores);
         float* out = output.row(i);
         for (std::size_t c = 0; c < cands.size(); ++c) {

@@ -34,10 +34,10 @@ exactAttention(const AttentionInput& input,
         const float* q = input.query.row(i);
         // Causal mode restricts query i to keys 0..i.
         const std::size_t limit = options.causal ? i + 1 : n;
-        row.assign(limit, 0.0);
-        for (std::size_t j = 0; j < limit; ++j) {
-            row[j] = options.score_scale
-                     * dot(q, input.key.row(j), d);
+        row.resize(limit);
+        scoreRows(q, input.key, 0, limit, row.data());
+        for (double& score : row) {
+            score *= options.score_scale;
         }
         softmaxInPlace(row);
         float* out = output.row(i);
@@ -68,8 +68,9 @@ exactAttentionTrace(const AttentionInput& input,
         const std::size_t limit = options.causal ? i + 1 : n;
         auto& raw = trace.raw_scores[i];
         raw.resize(limit);
-        for (std::size_t j = 0; j < limit; ++j) {
-            raw[j] = options.score_scale * dot(q, input.key.row(j), d);
+        scoreRows(q, input.key, 0, limit, raw.data());
+        for (double& score : raw) {
+            score *= options.score_scale;
         }
         trace.scores[i] = softmax(raw);
         float* out = trace.output.row(i);

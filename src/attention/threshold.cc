@@ -44,9 +44,7 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
         if (q_norm == 0.0) {
             continue; // Padding row; produces no sample.
         }
-        for (std::size_t j = 0; j < n; ++j) {
-            raw[j] = dot(q, key.row(j), d);
-        }
+        scoreRows(q, key, 0, n, raw.data());
         const std::vector<double> soft = softmax(raw);
 
         // Step 1: keys whose softmax score exceeds p/n; step 2: among

@@ -67,10 +67,8 @@ TopKSelector::selectOracle(const AttentionInput& input, std::size_t k)
     std::vector<std::vector<std::uint32_t>> out(input.n());
     std::vector<double> scores(input.n());
     for (std::size_t i = 0; i < input.n(); ++i) {
-        const float* q = input.query.row(i);
-        for (std::size_t j = 0; j < input.n(); ++j) {
-            scores[j] = dot(q, input.key.row(j), input.d());
-        }
+        scoreRows(input.query.row(i), input.key, 0, input.n(),
+                  scores.data());
         out[i] = topIndices(scores, k);
     }
     return out;

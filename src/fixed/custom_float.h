@@ -19,8 +19,21 @@
  * is bit-identical to the previous out-of-line implementation -- the
  * fixed_detail helpers fall through to the same libm calls outside
  * constant evaluation.
+ *
+ * quantizeToCustomFloat is the reference. The simulator's hot loops
+ * use the bit-level forms below instead (quantizeCustomFloatFast and
+ * accumulateCustomFloat), which round directly on the IEEE-754 bits
+ * of the double and hand every saturating or non-finite input back to
+ * the reference, so results and saturation counts are identical; the
+ * agreement is tested on random bit patterns and every edge case in
+ * tests/fixed_test.cc.
  */
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+
+#include "common/simd/simd.h"
 #include "fixed/constexpr_math.h"
 #include "fixed/saturation.h"
 
@@ -97,6 +110,68 @@ quantizeToCustomFloat(double value,
         fixed_detail::roundTiesToEven((m - 1.0) * scale) / scale + 1.0;
     return fixed_detail::copySign(fixed_detail::scaleByPow2(rounded, exp - 1),
                                   value);
+}
+
+/**
+ * IEEE-bit constants of a format for the bit-level quantizers. Its
+ * smallest normal and largest finite magnitudes must be normal finite
+ * doubles (exponent_bits <= 10) and it must drop at least one double
+ * fraction bit (fraction_bits <= 51).
+ */
+constexpr simd::CustomFloatBits
+customFloatBits(const CustomFloatFormat& format)
+{
+    return {static_cast<unsigned>(52 - format.fraction_bits),
+            std::bit_cast<std::uint64_t>(format.minNormal()),
+            std::bit_cast<std::uint64_t>(format.maxMagnitude())};
+}
+
+static_assert(kElsaFloatFormat.exponent_bits <= 10
+              && kElsaFloatFormat.fraction_bits <= 51);
+
+/** kElsaFloatFormat's IEEE-bit constants. */
+inline constexpr simd::CustomFloatBits kElsaFloatBits =
+    customFloatBits(kElsaFloatFormat);
+
+/**
+ * quantizeToCustomFloat(value) (kElsaFloatFormat) on the IEEE bits:
+ * in-range magnitudes round with one integer add and mask, magnitudes
+ * below the smallest normal flush to +0.0, and everything else
+ * (saturating, +-inf, NaN) is handed to the reference, which
+ * saturates and counts. Equal to the reference for every input.
+ */
+constexpr double
+quantizeCustomFloatFast(double value)
+{
+    double out = 0.0;
+    if (simd::quantizeCustomFloatInRange(value, kElsaFloatBits, &out)) {
+        return out;
+    }
+    return quantizeToCustomFloat(value);
+}
+
+/**
+ * The weighted accumulate of the attention datapath,
+ * acc[i] = quantizeToCustomFloat(acc[i] + scale * v[i]) for i in
+ * [0, n), through the vector kernel of `table`; the rare elements it
+ * leaves unquantized (saturating or non-finite sums) finish on the
+ * reference quantizer, which saturates and counts them.
+ * Every table gives identical results; tests and benchmarks pin one.
+ */
+inline void
+accumulateCustomFloat(double* acc, double scale, const float* v,
+                      std::size_t n,
+                      const simd::KernelTable& table = simd::kernels())
+{
+    if (table.cfloat_accumulate(acc, scale, v, n, kElsaFloatBits) == 0) {
+        return;
+    }
+    constexpr double kMaxMagnitude = kElsaFloatFormat.maxMagnitude();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!(fixed_detail::absValue(acc[i]) < kMaxMagnitude)) {
+            acc[i] = quantizeToCustomFloat(acc[i]);
+        }
+    }
 }
 
 /**

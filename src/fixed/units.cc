@@ -67,7 +67,7 @@ ExpUnit::compute(double x) const
     }
     const double result = std::ldexp(lut_[index],
                                      static_cast<int>(floor_y));
-    return quantizeToCustomFloat(result, kElsaFloatFormat);
+    return quantizeCustomFloatFast(result);
 }
 
 // --- ReciprocalUnit --------------------------------------------------
@@ -112,8 +112,7 @@ ReciprocalUnit::compute(double x) const
     }
     // 1/(m * 2^(e-1)) = (1/m) * 2^(1-e)
     const double result = std::ldexp(lut_[index], 1 - exp);
-    return std::copysign(quantizeToCustomFloat(result, kElsaFloatFormat),
-                         x);
+    return std::copysign(quantizeCustomFloatFast(result), x);
 }
 
 // --- SqrtUnit --------------------------------------------------------

@@ -12,16 +12,9 @@
 
 namespace elsa {
 
-namespace {
-
 // sign(x) per the paper -- 1 iff x >= 0 -- is computed by the
 // dispatched sign_pack kernels (see simd.h for the exactness
 // argument).
-
-/** Dense-path row tile: keeps x hot while sweeping projection rows. */
-constexpr std::size_t kGemvTile = 16;
-
-} // namespace
 
 HashValue
 SrpHasher::hash(const std::vector<float>& x) const
@@ -99,18 +92,13 @@ void
 DenseSrpHasher::hashInto(const float* x, std::uint64_t* out,
                          HashScratch& scratch) const
 {
-    // Blocked GEMV: each projected value is the same double-precision
-    // dot, in the same order, as the scalar path -- the tile only
-    // groups rows for locality -- so the packed signs are
-    // bit-identical to per-bit setBit hashing.
+    // GEMV on the lane-per-key score tile: each projected value is
+    // the same double-precision dot, in the same order, as the
+    // scalar path, so the packed signs are bit-identical to per-bit
+    // setBit hashing.
     const std::size_t k = bits();
     scratch.d.resize(k);
-    for (std::size_t base = 0; base < k; base += kGemvTile) {
-        const std::size_t end = std::min(k, base + kGemvTile);
-        for (std::size_t i = base; i < end; ++i) {
-            scratch.d[i] = dot(projection_.row(i), x, dim());
-        }
-    }
+    scoreRows(x, projection_, 0, k, scratch.d.data());
     simd::kernels().sign_pack_f64(scratch.d.data(), k, out);
 }
 

@@ -456,6 +456,12 @@ Accelerator::run(const AttentionInput& input, double threshold) const
     std::uint64_t cursor = result.preprocess_cycles;
 
     std::vector<std::vector<std::uint32_t>> bank_grants(pa);
+    // Per-run working state of the bank scans and the functional
+    // output, reused by every query.
+    std::vector<bool> hits;
+    BankScanScratch scan_scratch;
+    BankQueryTrace trace;
+    QueryOutputScratch output_scratch;
     // The previous query's interval bounds this query's span
     // queue-wait (its hash overlapped that interval).
     std::size_t prev_interval = 0;
@@ -483,10 +489,9 @@ Accelerator::run(const AttentionInput& input, double threshold) const
             if (begin >= end) {
                 continue;
             }
-            const std::vector<bool> hits = functional_.bankHits(
-                ctx, query_hash, begin, end, threshold);
-            const BankQueryTrace trace =
-                simulateBankQuery(hits, config_);
+            functional_.bankHits(ctx, query_hash, begin, end,
+                                 threshold, hits);
+            simulateBankQuery(hits, config_, scan_scratch, trace);
             for (const auto local : trace.grant_order) {
                 bank_grants[b].push_back(
                     static_cast<std::uint32_t>(begin + local));
@@ -789,9 +794,9 @@ Accelerator::run(const AttentionInput& input, double threshold) const
         }
 
         // ---- Functional output ----
-        const QueryOutput out =
-            functional_.computeQueryOutput(ctx, i, bank_grants);
-        std::copy(out.row.begin(), out.row.end(), result.output.row(i));
+        functional_.computeQueryOutput(ctx, i, bank_grants,
+                                       output_scratch,
+                                       result.output.row(i));
 
         cursor += interval;
         prev_interval = interval;

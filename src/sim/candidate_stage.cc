@@ -1,26 +1,38 @@
 #include "sim/candidate_stage.h"
 
-#include <deque>
-
-#include "common/logging.h"
+#include <utility>
 
 namespace elsa {
 
-BankQueryTrace
-simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
+void
+simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config,
+                  BankScanScratch& scratch, BankQueryTrace& trace)
 {
     const std::size_t pc = config.pc;
+    const std::size_t depth = config.queue_depth;
     const std::size_t num_keys = hits.size();
 
-    BankQueryTrace trace;
+    // Reset every field but keep the grant vector's storage.
+    std::vector<std::uint32_t> grants = std::move(trace.grant_order);
+    grants.clear();
+    trace = BankQueryTrace{};
+    trace.grant_order = std::move(grants);
     if (num_keys == 0) {
-        return trace;
+        return;
     }
 
     // Per-module scan cursor: module m processes bank-local keys
-    // m, m + pc, m + 2 pc, ... in order.
-    std::vector<std::size_t> cursor(pc, 0);
-    std::vector<std::deque<std::uint32_t>> queues(pc);
+    // m, m + pc, m + 2 pc, ... in order. Module m's queue is the ring
+    // ring[m * depth, (m + 1) * depth): entries head[m], head[m] + 1,
+    // ... (mod depth), size[m] of them.
+    std::vector<std::size_t>& cursor = scratch.cursor;
+    std::vector<std::uint32_t>& ring = scratch.ring;
+    std::vector<std::size_t>& head = scratch.head;
+    std::vector<std::size_t>& size = scratch.size;
+    cursor.assign(pc, 0);
+    head.assign(pc, 0);
+    size.assign(pc, 0);
+    ring.resize(pc * depth);
     // Entries across all queues, maintained incrementally so the
     // occupancy integral costs O(1) per cycle.
     std::size_t occupied = 0;
@@ -43,14 +55,7 @@ simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
             trace.scan_done_cycle = cycle;
             scan_done_recorded = true;
         }
-        bool queues_empty = true;
-        for (const auto& q : queues) {
-            if (!q.empty()) {
-                queues_empty = false;
-                break;
-            }
-        }
-        if (all_scanned && queues_empty) {
+        if (all_scanned && occupied == 0) {
             break;
         }
         ++cycle;
@@ -61,14 +66,15 @@ simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
         std::size_t best = pc;
         std::size_t best_size = 0;
         for (std::size_t m = 0; m < pc; ++m) {
-            if (queues[m].size() > best_size) {
-                best_size = queues[m].size();
+            if (size[m] > best_size) {
+                best_size = size[m];
                 best = m;
             }
         }
         if (best < pc) {
-            trace.grant_order.push_back(queues[best].front());
-            queues[best].pop_front();
+            trace.grant_order.push_back(ring[best * depth + head[best]]);
+            head[best] = head[best] + 1 == depth ? 0 : head[best] + 1;
+            --size[best];
             --occupied;
         }
 
@@ -84,11 +90,16 @@ simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
             }
             const std::size_t key = m + cursor[m] * pc;
             if (hits[key]) {
-                if (queues[m].size() >= config.queue_depth) {
+                if (size[m] >= depth) {
                     ++trace.stall_cycles;
                     continue; // Backpressure: retry next cycle.
                 }
-                queues[m].push_back(static_cast<std::uint32_t>(key));
+                std::size_t tail = head[m] + size[m];
+                if (tail >= depth) {
+                    tail -= depth;
+                }
+                ring[m * depth + tail] = static_cast<std::uint32_t>(key);
+                ++size[m];
                 ++occupied;
             }
             ++cursor[m];
@@ -101,6 +112,14 @@ simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
     // The bank is occupied until the scan completed *and* the queues
     // drained, whichever is later.
     trace.cycles = cycle;
+}
+
+BankQueryTrace
+simulateBankQuery(const std::vector<bool>& hits, const SimConfig& config)
+{
+    BankScanScratch scratch;
+    BankQueryTrace trace;
+    simulateBankQuery(hits, config, scratch, trace);
     return trace;
 }
 

@@ -72,12 +72,41 @@ struct BankQueryTrace
 };
 
 /**
+ * Working state of simulateBankQuery: per-module scan cursors and
+ * output queues, each queue a fixed ring of queue_depth slots. Owned
+ * by the caller and reused across the banks and queries of a run, so
+ * a scan allocates nothing once the buffers have grown.
+ */
+struct BankScanScratch
+{
+    /** Per-module scan cursor (keys already scanned). */
+    std::vector<std::size_t> cursor;
+
+    /** Queue slots, queue_depth per module, module-major. */
+    std::vector<std::uint32_t> ring;
+
+    /** Per-module index of the oldest queued entry in its ring. */
+    std::vector<std::size_t> head;
+
+    /** Per-module queue occupancy. */
+    std::vector<std::size_t> size;
+};
+
+/**
  * Simulate the candidate selection stage of one bank for one query.
  *
- * @param hits   hits[j] is true when the bank's j-th key passes the
- *               threshold filter (selected as a candidate).
- * @param config Pipeline configuration (uses pc and queue_depth).
+ * @param hits    hits[j] is true when the bank's j-th key passes the
+ *                threshold filter (selected as a candidate).
+ * @param config  Pipeline configuration (uses pc and queue_depth).
+ * @param scratch Reusable working state (contents are overwritten).
+ * @param trace   Overwritten with the scan's result; its grant_order
+ *                storage is reused.
  */
+void simulateBankQuery(const std::vector<bool>& hits,
+                       const SimConfig& config, BankScanScratch& scratch,
+                       BankQueryTrace& trace);
+
+/** One-off form of the above with its own scratch. */
 BankQueryTrace simulateBankQuery(const std::vector<bool>& hits,
                                  const SimConfig& config);
 

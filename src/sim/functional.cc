@@ -53,9 +53,7 @@ FunctionalModel::expStage(double x, const ExpUnit& unit) const
 double
 FunctionalModel::cfq(double x) const
 {
-    return config_.model_quantization
-               ? quantizeToCustomFloat(x, kElsaFloatFormat)
-               : x;
+    return config_.model_quantization ? quantizeCustomFloatFast(x) : x;
 }
 
 FunctionalContext
@@ -97,19 +95,18 @@ FunctionalModel::preprocess(const AttentionInput& raw) const
     return ctx;
 }
 
-std::vector<bool>
+void
 FunctionalModel::bankHits(const FunctionalContext& ctx,
                           HashView query_hash, std::size_t bank_begin,
-                          std::size_t bank_end, double threshold) const
+                          std::size_t bank_end, double threshold,
+                          std::vector<bool>& hits) const
 {
     ELSA_CHECK(bank_begin <= bank_end
                    && bank_end <= ctx.key_hashes.size(),
                "bank range [" << bank_begin << "," << bank_end
                               << ") out of bounds");
-    std::vector<bool> hits;
     thresholdHits(query_hash, ctx.key_hashes, ctx.key_norms, cos_lut_,
                   threshold * ctx.max_norm, bank_begin, bank_end, hits);
-    return hits;
 }
 
 std::uint32_t
@@ -120,16 +117,14 @@ FunctionalModel::bestKey(const FunctionalContext& ctx,
                             cos_lut_, 0, ctx.key_hashes.rows());
 }
 
-QueryOutput
+void
 FunctionalModel::computeQueryOutput(
     const FunctionalContext& ctx, std::size_t query_id,
-    const std::vector<std::vector<std::uint32_t>>& bank_grants) const
+    const std::vector<std::vector<std::uint32_t>>& bank_grants,
+    QueryOutputScratch& scratch, float* out_row) const
 {
     const std::size_t d = config_.d;
     const float* q = ctx.input.query.row(query_id);
-
-    QueryOutput result;
-    result.row.assign(d, 0.0f);
 
     // Fault injection may hand this run corrupted copies of the LUT
     // units; with no faults the pristine members are used.
@@ -142,20 +137,30 @@ FunctionalModel::computeQueryOutput(
     // sum-of-exponents (Fig. 8); the output division module then
     // reduces the partials and multiplies by the reciprocal.
     double total_sum_exp = 0.0;
-    std::vector<double> total_acc(d, 0.0);
+    std::vector<double>& total_acc = scratch.total_acc;
+    std::vector<double>& bank_acc = scratch.bank_acc;
+    std::vector<double>& scores = scratch.scores;
+    total_acc.assign(d, 0.0);
     for (const auto& grants : bank_grants) {
-        double bank_sum_exp = 0.0;
-        std::vector<double> bank_acc(d, 0.0);
         for (const auto key_id : grants) {
             ELSA_CHECK(key_id < ctx.input.n(),
                        "grant key id out of range");
-            const double score =
-                dot(q, ctx.input.key.row(key_id), d);
-            const double e = expStage(score, exp_unit);
+        }
+        scores.resize(grants.size());
+        scoreGathered(q, ctx.input.key, grants.data(), grants.size(),
+                      scores.data());
+        double bank_sum_exp = 0.0;
+        bank_acc.assign(d, 0.0);
+        for (std::size_t g = 0; g < grants.size(); ++g) {
+            const double e = expStage(scores[g], exp_unit);
+            const float* v = ctx.input.value.row(grants[g]);
             bank_sum_exp = cfq(bank_sum_exp + e);
-            const float* v = ctx.input.value.row(key_id);
-            for (std::size_t c = 0; c < d; ++c) {
-                bank_acc[c] = cfq(bank_acc[c] + e * v[c]);
+            if (config_.model_quantization) {
+                accumulateCustomFloat(bank_acc.data(), e, v, d);
+            } else {
+                for (std::size_t c = 0; c < d; ++c) {
+                    bank_acc[c] += e * v[c];
+                }
             }
         }
         total_sum_exp = cfq(total_sum_exp + bank_sum_exp);
@@ -164,7 +169,6 @@ FunctionalModel::computeQueryOutput(
         }
     }
 
-    result.sum_exp = total_sum_exp;
     ELSA_CHECK(total_sum_exp > 0.0,
                "query " << query_id << " accumulated zero probability "
                "mass; candidate lists must be non-empty");
@@ -177,9 +181,8 @@ FunctionalModel::computeQueryOutput(
             // The output matrix memory stores 9-bit S5.3 elements.
             out = quantize<5, 3>(out);
         }
-        result.row[c] = static_cast<float>(out);
+        out_row[c] = static_cast<float>(out);
     }
-    return result;
 }
 
 } // namespace elsa

@@ -61,14 +61,20 @@ struct FunctionalContext
     std::shared_ptr<const ReciprocalUnit> faulted_recip;
 };
 
-/** Result of computing one query's output row. */
-struct QueryOutput
+/**
+ * Working buffers of computeQueryOutput, owned by the caller so a run
+ * allocates them once. Not shareable between concurrent calls.
+ */
+struct QueryOutputScratch
 {
-    /** The output row (d values, already divided by sum-exp). */
-    std::vector<float> row;
+    /** Scores of one bank's granted keys. */
+    std::vector<double> scores;
 
-    /** Sum of exponentiated scores (for diagnostics). */
-    double sum_exp = 0.0;
+    /** One bank's partial weighted value sum. */
+    std::vector<double> bank_acc;
+
+    /** The reduced partial sums of all banks. */
+    std::vector<double> total_acc;
 };
 
 /** Value-level datapath model. */
@@ -90,8 +96,10 @@ class FunctionalModel
     FunctionalContext preprocess(const AttentionInput& input) const;
 
     /**
-     * Candidate decisions of one bank for one query: element j is
-     * true when bank-local key j passes the threshold filter.
+     * Candidate decisions of one bank for one query, written to hits
+     * (resized to the bank's key count; its storage is reused):
+     * element j is true when bank-local key j passes the threshold
+     * filter.
      *
      * @param ctx        Preprocessed state.
      * @param query_hash Hash of the current query.
@@ -99,12 +107,11 @@ class FunctionalModel
      * @param bank_end   One past the last global key id of the bank.
      * @param threshold  Learned threshold t (compared against
      *                   approx similarity / ||K_max||).
+     * @param hits       Output decisions.
      */
-    std::vector<bool> bankHits(const FunctionalContext& ctx,
-                               HashView query_hash,
-                               std::size_t bank_begin,
-                               std::size_t bank_end,
-                               double threshold) const;
+    void bankHits(const FunctionalContext& ctx, HashView query_hash,
+                  std::size_t bank_begin, std::size_t bank_end,
+                  double threshold, std::vector<bool>& hits) const;
 
     /**
      * Global key id with the highest approximate similarity; the
@@ -114,15 +121,17 @@ class FunctionalModel
                           HashView query_hash) const;
 
     /**
-     * Compute one query's output row from the per-bank candidate
-     * grant orders (global key ids), applying the datapath number
-     * formats. Mirrors the attention computation + output division
-     * modules (Fig. 8 pseudocode), including the banked partial-sum
-     * reduction of the parallel pipeline (Section IV-D).
+     * Compute one query's output row (d values, already divided by
+     * the sum of exponentiated scores) into out_row from the per-bank
+     * candidate grant orders (global key ids), applying the datapath
+     * number formats. Mirrors the attention computation + output
+     * division modules (Fig. 8 pseudocode), including the banked
+     * partial-sum reduction of the parallel pipeline (Section IV-D).
      */
-    QueryOutput computeQueryOutput(
+    void computeQueryOutput(
         const FunctionalContext& ctx, std::size_t query_id,
-        const std::vector<std::vector<std::uint32_t>>& bank_grants) const;
+        const std::vector<std::vector<std::uint32_t>>& bank_grants,
+        QueryOutputScratch& scratch, float* out_row) const;
 
   private:
     /** e^x through the given LUT unit (or exactly, without

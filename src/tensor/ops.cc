@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/simd/simd.h"
+
 namespace elsa {
 
 Matrix
@@ -38,9 +40,11 @@ matmulTransposedB(const Matrix& a, const Matrix& b)
                                                     << b.rows() << "x"
                                                     << b.cols() << ")^T");
     Matrix c(a.rows(), b.rows());
+    std::vector<double> scores(b.rows());
     for (std::size_t i = 0; i < a.rows(); ++i) {
+        scoreRows(a.row(i), b, 0, b.rows(), scores.data());
         for (std::size_t j = 0; j < b.rows(); ++j) {
-            c(i, j) = static_cast<float>(dot(a.row(i), b.row(j), a.cols()));
+            c(i, j) = static_cast<float>(scores[j]);
         }
     }
     return c;
@@ -83,6 +87,28 @@ dot(const float* x, const float* y, std::size_t n)
         acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
     }
     return acc;
+}
+
+void
+scoreRows(const float* q, const Matrix& keys, std::size_t begin,
+          std::size_t end, double* out)
+{
+    ELSA_CHECK(begin <= end && end <= keys.rows(),
+               "score tile rows [" << begin << "," << end
+                                   << ") out of range");
+    if (begin == end) {
+        return;
+    }
+    simd::kernels().score_rows(q, keys.row(begin), keys.cols(),
+                               keys.cols(), end - begin, out);
+}
+
+void
+scoreGathered(const float* q, const Matrix& keys,
+              const std::uint32_t* rows, std::size_t count, double* out)
+{
+    simd::kernels().score_gather(q, keys.data(), keys.cols(), keys.cols(),
+                                 rows, count, out);
 }
 
 double

@@ -11,6 +11,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -31,6 +32,22 @@ Matrix kronecker(const Matrix& a, const Matrix& b);
 
 /** Dot product of two length-n float spans. */
 double dot(const float* x, const float* y, std::size_t n);
+
+/**
+ * Score tile over a row range: out[j - begin] = dot(q, keys.row(j),
+ * keys.cols()) for j in [begin, end), bit for bit. Runs on the
+ * dispatched lane-per-key kernel (src/common/simd/); causal callers
+ * pass their visibility limit as `end`.
+ */
+void scoreRows(const float* q, const Matrix& keys, std::size_t begin,
+               std::size_t end, double* out);
+
+/** Score tile over gathered rows: out[j] = dot(q, keys.row(rows[j]),
+ *  keys.cols()) for j in [0, count), bit for bit. Rows must be
+ *  < keys.rows(). */
+void scoreGathered(const float* q, const Matrix& keys,
+                   const std::uint32_t* rows, std::size_t count,
+                   double* out);
 
 /** Euclidean (L2) norm of a length-n float span. */
 double l2Norm(const float* x, std::size_t n);

@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/simd/simd.h"
 #include "fixed/custom_float.h"
 #include "fixed/fixed_point.h"
 #include "fixed/units.h"
@@ -73,6 +77,14 @@ static_assert(quantizeToCustomFloat(-kElsaFloatFormat.maxMagnitude() * 4.0)
               == -kElsaFloatFormat.maxMagnitude());
 static_assert(quantizeToCustomFloat(kElsaFloatFormat.minNormal() / 4.0)
               == 0.0);
+// The bit-level quantizer agrees with the reference at compile time.
+static_assert(quantizeCustomFloatFast(1.0 + 1.0 / 64.0) == 1.0);
+static_assert(quantizeCustomFloatFast(1.0 + 3.0 / 64.0)
+              == 1.0 + 1.0 / 16.0);
+static_assert(quantizeCustomFloatFast(-(2.0 - 1.0 / 64.0)) == -2.0);
+static_assert(quantizeCustomFloatFast(kElsaFloatFormat.maxMagnitude() * 4.0)
+              == kElsaFloatFormat.maxMagnitude());
+static_assert(kElsaFloatBits.drop_bits == 47);
 static_assert(CustomFloat::fromReal(1.0)
                   .add(CustomFloat::fromReal(1.0 / 64.0))
                   .toReal()
@@ -218,6 +230,180 @@ TEST(CustomFloatTest, CompileTimeAgreesWithRuntime)
         volatile double rt_in = kFixedInputs[i];
         EXPECT_EQ(InputFixed::fromReal(rt_in).raw(), kFixedRaw[i])
             << "x = " << kFixedInputs[i];
+    }
+}
+
+// ---------------------------------------------------------------------
+// The bit-level quantizers (quantizeCustomFloatFast and the vector
+// accumulate kernels behind accumulateCustomFloat) must equal the
+// reference quantizeToCustomFloat bit for bit -- including the sign of
+// zero -- and count exactly the same saturations.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Every kernel table usable on this machine. */
+std::vector<const simd::KernelTable*>
+allTables()
+{
+    std::vector<const simd::KernelTable*> tables;
+    for (const simd::SimdLevel level : simd::availableLevels()) {
+        tables.push_back(simd::kernelsFor(level));
+    }
+    return tables;
+}
+
+/**
+ * Quantize `inputs` with the reference, the scalar bit-level form,
+ * and the vector accumulate of every table (acc = input, scale * v =
+ * +0.0, so the sum is the input itself up to the sign of zero, which
+ * the quantizer maps to +0.0 anyway); require identical bits and
+ * identical saturation counts. Returns the reference's count.
+ */
+std::uint64_t
+expectAllFormsMatchReference(const std::vector<double>& inputs)
+{
+    std::vector<double> expected(inputs.size());
+    SaturationCounters reference_counts;
+    {
+        SaturationScope scope(&reference_counts);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            expected[i] = quantizeToCustomFloat(inputs[i]);
+        }
+    }
+
+    SaturationCounters scalar_counts;
+    std::vector<double> got(inputs.size());
+    {
+        SaturationScope scope(&scalar_counts);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            got[i] = quantizeCustomFloatFast(inputs[i]);
+        }
+    }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_EQ(bitsOf(got[i]), bitsOf(expected[i]))
+            << "scalar form, input bits " << std::hex << bitsOf(inputs[i]);
+    }
+    EXPECT_EQ(scalar_counts.cfloat, reference_counts.cfloat);
+
+    const std::vector<float> zeros(inputs.size(), 0.0f);
+    for (const simd::KernelTable* table : allTables()) {
+        std::vector<double> acc = inputs;
+        SaturationCounters vector_counts;
+        {
+            SaturationScope scope(&vector_counts);
+            accumulateCustomFloat(acc.data(), 1.0, zeros.data(),
+                                  acc.size(), *table);
+        }
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            EXPECT_EQ(bitsOf(acc[i]), bitsOf(expected[i]))
+                << table->name << " vector form, input bits "
+                << std::hex << bitsOf(inputs[i]);
+        }
+        EXPECT_EQ(vector_counts.cfloat, reference_counts.cfloat)
+            << table->name;
+    }
+    return reference_counts.cfloat;
+}
+
+TEST(CustomFloatBitsTest, MatchesReferenceOnRandomBitPatterns)
+{
+    // 10^7 uniformly random IEEE-754 patterns: every exponent (about
+    // half inside the format's range, the rest flushing or
+    // saturating), every mantissa, NaN payloads, both signs.
+    constexpr std::size_t kPatterns = 10'000'000;
+    constexpr std::size_t kChunk = 1 << 16;
+    Rng rng(0xc0ffee);
+    std::vector<double> inputs(kChunk);
+    for (std::size_t done = 0; done < kPatterns; done += kChunk) {
+        for (double& x : inputs) {
+            x = std::bit_cast<double>(rng.next());
+        }
+        expectAllFormsMatchReference(inputs);
+        if (HasFailure()) {
+            return; // One chunk's report is enough.
+        }
+    }
+}
+
+TEST(CustomFloatBitsTest, MatchesReferenceOnEnumeratedEdges)
+{
+    constexpr double kMax = kElsaFloatFormat.maxMagnitude();
+    constexpr double kMinNormal = kElsaFloatFormat.minNormal();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kStep = 1.0 / 32.0; // one format ulp at 1.0
+    std::vector<double> edges = {
+        // Signed zeros (both quantize to +0.0).
+        0.0, -0.0,
+        // Ties at the rounding bit: to even below, to even above, and
+        // the tie that carries into the exponent.
+        1.0 + kStep / 2, 1.0 + 3 * kStep / 2, 2.0 - kStep / 2,
+        -(1.0 + kStep / 2), -(1.0 + 3 * kStep / 2), -(2.0 - kStep / 2),
+        // Just off the ties.
+        std::nextafter(1.0 + kStep / 2, 2.0),
+        std::nextafter(1.0 + kStep / 2, 0.0),
+        // The largest magnitude: exactly, just below (rounds up to it
+        // without saturating), just above and far above (saturate).
+        kMax, -kMax, std::nextafter(kMax, 0.0),
+        std::nextafter(kMax, kInf), -std::nextafter(kMax, kInf),
+        kMax * (1.0 + kStep / 4), kMax * 1.5, 1e300, -1e300,
+        std::numeric_limits<double>::max(),
+        // The smallest normal: exactly, and just below (flushes).
+        kMinNormal, -kMinNormal, std::nextafter(kMinNormal, 0.0),
+        -std::nextafter(kMinNormal, 0.0), kMinNormal * (1.0 + kStep / 2),
+        // Non-finite and subnormal doubles.
+        kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 2,
+        -std::numeric_limits<double>::min() / 2,
+    };
+    // Odd length and each edge at every vector lane position.
+    std::vector<double> shifted;
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+        shifted.assign(lane, 1.0);
+        shifted.insert(shifted.end(), edges.begin(), edges.end());
+        // 11 saturating inputs: 7 finite above kMax, +-inf, 2 NaNs.
+        EXPECT_EQ(expectAllFormsMatchReference(shifted), 11u);
+    }
+}
+
+TEST(CustomFloatBitsTest, VectorAccumulateMatchesScalarArithmetic)
+{
+    // Random finite accumulators, scales and values: the kernel's
+    // multiply, add and rounding equal the reference sequence
+    // quantizeToCustomFloat(acc + scale * v) element by element.
+    Rng rng(77);
+    for (int round = 0; round < 200; ++round) {
+        const std::size_t n = 1 + rng.uniformInt(70);
+        std::vector<double> acc(n);
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            acc[i] = quantizeToCustomFloat(rng.gaussian(0.0, 50.0));
+            v[i] = static_cast<float>(rng.gaussian(0.0, 8.0));
+        }
+        const int exponent = static_cast<int>(rng.uniformInt(40)) - 20;
+        const double scale =
+            quantizeToCustomFloat(std::ldexp(rng.uniform(), exponent));
+        for (const simd::KernelTable* table : allTables()) {
+            std::vector<double> got = acc;
+            accumulateCustomFloat(got.data(), scale, v.data(), n, *table);
+            for (std::size_t i = 0; i < n; ++i) {
+                // volatile: keep this reference multiply-add unfused
+                // on FMA targets, as the kernels keep theirs.
+                const volatile double product =
+                    scale * static_cast<double>(v[i]);
+                const double expected =
+                    quantizeToCustomFloat(acc[i] + product);
+                ASSERT_EQ(bitsOf(got[i]), bitsOf(expected))
+                    << table->name << " round " << round << " i " << i;
+            }
+        }
     }
 }
 

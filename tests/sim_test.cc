@@ -263,10 +263,11 @@ TEST(FunctionalModelTest, UnquantizedBankHitsMatchSoftwareSelection)
     const FunctionalContext ctx = model.preprocess(input);
     const KeyPreprocessing prep = engine.preprocessKeys(input.key);
     const double threshold = 0.2;
+    std::vector<bool> hits;
     for (std::size_t i = 0; i < 8; ++i) {
         const HashValue qh = hasher->hash(input.query.row(i));
         const auto sw = engine.selectCandidates(qh, prep, threshold);
-        const auto hits = model.bankHits(ctx, qh, 0, 96, threshold);
+        model.bankHits(ctx, qh, 0, 96, threshold, hits);
         std::vector<std::uint32_t> hw;
         for (std::size_t j = 0; j < 96; ++j) {
             if (hits[j]) {

@@ -4,7 +4,9 @@
  * (src/common/simd/): every available kernel table must be
  * bit-identical to the scalar baseline on random inputs, including
  * non-word-multiple hash widths, empty and single-row key sets, and
- * exact IEEE sign-extraction edge cases (-0.0, NaN, denormals). Also
+ * exact IEEE sign-extraction edge cases (-0.0, NaN, denormals), and
+ * the floating-point score tile, which must equal the sequential
+ * elsa::dot loop bit for bit for every row it scores. Also
  * covers the dispatch surface itself -- availableLevels(),
  * resolveLevel() and the ELSA_SIMD forcing hook (the CTest
  * registration runs this binary a second time with ELSA_SIMD=scalar;
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +28,8 @@
 #include "lsh/bitvector.h"
 #include "lsh/candidates.h"
 #include "lsh/srp.h"
+#include "tensor/matrix.h"
+#include "tensor/ops.h"
 
 namespace elsa {
 namespace {
@@ -306,6 +311,186 @@ TEST(SimdKernelPropertyTest, HashMatrixMatchesPerRowHash)
         for (std::size_t r = 0; r < input.rows(); ++r) {
             EXPECT_EQ(packed.rowValue(r), hasher->hash(input.row(r)))
                 << "row " << r;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Score tile: lane-per-key dot products, bit-identical to elsa::dot.
+// ---------------------------------------------------------------------
+
+/** Gaussian matrix with a sprinkling of large and tiny magnitudes, so
+ *  the double sums round differently in every accumulation order. */
+Matrix
+scoreTestMatrix(std::size_t rows, std::size_t cols, Rng& rng)
+{
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        const double scale = rng.uniform() < 0.1 ? 1e6 : 1.0;
+        m.data()[i] = static_cast<float>(rng.gaussian() * scale
+                                         + rng.gaussian() * 1e-7);
+    }
+    return m;
+}
+
+/** Row counts around every block size the tables use (8, 4, 2),
+ *  plus a large tile. */
+const std::size_t kScoreRowCounts[] = {1,  2,  3,  4,  5,  7, 8,
+                                       9,  11, 15, 16, 17, 384};
+const std::size_t kScoreDims[] = {1, 3, 64, 65};
+
+TEST(SimdScoreTileTest, ContiguousRowsMatchSequentialDot)
+{
+    Rng rng(0x5c07e);
+    for (const std::size_t d : kScoreDims) {
+        for (const std::size_t n : kScoreRowCounts) {
+            const Matrix keys = scoreTestMatrix(n, d, rng);
+            const Matrix query = scoreTestMatrix(1, d, rng);
+            for (const simd::KernelTable* table : allTables()) {
+                // One canary past the tile must stay untouched.
+                std::vector<double> out(n + 1, -1.0);
+                table->score_rows(query.row(0), keys.data(), d, d, n,
+                                  out.data());
+                for (std::size_t j = 0; j < n; ++j) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                              std::bit_cast<std::uint64_t>(
+                                  dot(query.row(0), keys.row(j), d)))
+                        << table->name << " n=" << n << " d=" << d
+                        << " row " << j;
+                }
+                EXPECT_EQ(out[n], -1.0) << table->name << " overran";
+            }
+        }
+    }
+}
+
+TEST(SimdScoreTileTest, GatheredRowsMatchSequentialDot)
+{
+    Rng rng(0x9a7e);
+    for (const std::size_t d : kScoreDims) {
+        const Matrix keys = scoreTestMatrix(97, d, rng);
+        const Matrix query = scoreTestMatrix(1, d, rng);
+        for (const std::size_t count : kScoreRowCounts) {
+            // Random order with repeats, like arbiter grant lists.
+            std::vector<std::uint32_t> rows(count);
+            for (std::uint32_t& r : rows) {
+                r = static_cast<std::uint32_t>(rng.uniformInt(keys.rows()));
+            }
+            for (const simd::KernelTable* table : allTables()) {
+                std::vector<double> out(count + 1, -1.0);
+                table->score_gather(query.row(0), keys.data(), d, d,
+                                    rows.data(), count, out.data());
+                for (std::size_t j = 0; j < count; ++j) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                              std::bit_cast<std::uint64_t>(
+                                  dot(query.row(0), keys.row(rows[j]), d)))
+                        << table->name << " count=" << count
+                        << " d=" << d << " entry " << j;
+                }
+                EXPECT_EQ(out[count], -1.0) << table->name << " overran";
+            }
+        }
+    }
+}
+
+TEST(SimdScoreTileTest, StridedRowsAndCausalLimit)
+{
+    // Rows of a wider matrix (stride > d) and the causal form: query
+    // i scores keys [0, i + 1) only, through the tensor-layer wrapper
+    // the attention code calls, and nothing past the limit is written.
+    Rng rng(0xca05a1);
+    const std::size_t n = 40;
+    const std::size_t stride = 70;
+    const std::size_t d = 65;
+    const Matrix keys = scoreTestMatrix(n, stride, rng);
+    const Matrix query = scoreTestMatrix(1, stride, rng);
+    for (const simd::KernelTable* table : allTables()) {
+        std::vector<double> out(n, -1.0);
+        table->score_rows(query.row(0), keys.data(), stride, d, n,
+                          out.data());
+        for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                      std::bit_cast<std::uint64_t>(
+                          dot(query.row(0), keys.row(j), d)))
+                << table->name << " strided row " << j;
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t limit = i + 1;
+        std::vector<double> out(n, -1.0);
+        scoreRows(query.row(0), keys, 0, limit, out.data());
+        for (std::size_t j = 0; j < n; ++j) {
+            if (j < limit) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                          std::bit_cast<std::uint64_t>(
+                              dot(query.row(0), keys.row(j), stride)))
+                    << "limit " << limit << " row " << j;
+            } else {
+                EXPECT_EQ(out[j], -1.0) << "wrote past limit " << limit;
+            }
+        }
+    }
+}
+
+TEST(SimdScoreTileTest, ZeroRowsWriteNothing)
+{
+    const float q[1] = {1.0f};
+    const float keys[1] = {2.0f};
+    const std::uint32_t rows[1] = {0};
+    for (const simd::KernelTable* table : allTables()) {
+        double out = -1.0;
+        table->score_rows(q, keys, 1, 1, 0, &out);
+        table->score_gather(q, keys, 1, 1, rows, 0, &out);
+        EXPECT_EQ(out, -1.0) << table->name;
+    }
+}
+
+TEST(SimdKernelPropertyTest, CfloatAccumulateMatchesScalar)
+{
+    // Every table's custom-float accumulate equals the scalar table's
+    // bit for bit, returns the same count of unquantized lanes, and
+    // leaves exactly the same raw sums for the caller's reference
+    // pass; the inputs mix ordinary, zero, tied, flushing and
+    // saturating sums at every lane position.
+    const simd::CustomFloatBits format{
+        47, std::bit_cast<std::uint64_t>(std::ldexp(1.0, -511)),
+        std::bit_cast<std::uint64_t>(std::ldexp(2.0 - 1.0 / 32.0, 512))};
+    Rng rng(0xacc);
+    for (int round = 0; round < 300; ++round) {
+        const std::size_t n = rng.uniformInt(40);
+        std::vector<double> acc(n);
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double pick = rng.uniform();
+            // An exact tie at the rounding bit: 1 + odd/64, scaled.
+            const double tie = std::ldexp(
+                1.0 + static_cast<double>(2 * rng.uniformInt(32) + 1) / 64.0,
+                static_cast<int>(rng.uniformInt(64)) - 32);
+            acc[i] = pick < 0.1    ? 0.0
+                     : pick < 0.15 ? std::ldexp(1.0, 600)
+                     : pick < 0.2  ? std::ldexp(1.0, -600)
+                     : pick < 0.4  ? tie
+                                   : rng.gaussian(0.0, 100.0);
+            v[i] = pick < 0.4 || rng.uniform() < 0.2
+                       ? 0.0f
+                       : static_cast<float>(rng.gaussian(0.0, 4.0));
+        }
+        const double scale = rng.uniform() < 0.1 ? 1e300 : rng.uniform();
+        std::vector<double> expected = acc;
+        const std::size_t expected_left =
+            simd::scalarKernels().cfloat_accumulate(
+                expected.data(), scale, v.data(), n, format);
+        for (const simd::KernelTable* table : allTables()) {
+            std::vector<double> got = acc;
+            EXPECT_EQ(table->cfloat_accumulate(got.data(), scale, v.data(),
+                                               n, format),
+                      expected_left)
+                << table->name << " n=" << n;
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                          std::bit_cast<std::uint64_t>(expected[i]))
+                    << table->name << " n=" << n << " i=" << i;
+            }
         }
     }
 }
