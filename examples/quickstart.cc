@@ -72,7 +72,6 @@ runObservabilityDemo(const elsa::Elsa& engine,
 
     SimConfig config = SimConfig::paperConfig();
     config.collect_query_trace = true;
-    config.emit_trace = true;
     config.attribute_stalls = true;
     config.telemetry.enabled = true;
     config.query_spans.enabled = true;
@@ -96,7 +95,6 @@ runObservabilityDemo(const elsa::Elsa& engine,
     manifest.set("config", "threshold", threshold);
     manifest.set("config", "collect_query_trace",
                  config.collect_query_trace);
-    manifest.set("config", "emit_trace", config.emit_trace);
     const BottleneckReport bottleneck = writeObsBundle(
         dir, registry, result, config, manifest, "sim.accel0");
 

@@ -23,6 +23,11 @@ emitted files against the schema documented in docs/OBSERVABILITY.md:
                    cross-check that the manifest's utilization equals
                    active_cycles / cycles.total from stats.json.
 
+It then replays the quickstart with ELSA_SIMD=scalar and requires
+trace.json, telemetry.json and spans.json to be byte-identical and
+stats.json / stats.csv identical apart from the host.* profiling
+entries: every SIMD dispatch level must yield the same artifacts.
+
 The stall-attribution counters (<prefix>.stall.<module>.<cause>) are
 validated structurally (only known module/cause names) and
 arithmetically: per module the cause counters must sum exactly to
@@ -1010,6 +1015,36 @@ def run_serve_check(target):
         check_serve_dir(obs_dir)
 
 
+def check_simd_identity(obs_dir, scalar_dir):
+    """The bundle of a forced-scalar run must equal the dispatched
+    run's: trace/telemetry/spans byte for byte, and stats.json /
+    stats.csv apart from the host.* wall-clock profiling entries."""
+    for name in ("trace.json", "telemetry.json", "spans.json"):
+        with open(os.path.join(obs_dir, name), "rb") as f:
+            dispatched = f.read()
+        with open(os.path.join(scalar_dir, name), "rb") as f:
+            scalar = f.read()
+        check(dispatched == scalar,
+              f"{name} differs under ELSA_SIMD=scalar")
+
+    def sim_stats(d):
+        return {k: v
+                for k, v in load_json(os.path.join(d, "stats.json"))
+                .items() if not k.startswith("host.")}
+
+    check(sim_stats(obs_dir) == sim_stats(scalar_dir),
+          "stats.json differs under ELSA_SIMD=scalar "
+          "(host.* entries excluded)")
+
+    def sim_rows(d):
+        with open(os.path.join(d, "stats.csv")) as f:
+            return [line for line in f if not line.startswith("host.")]
+
+    check(sim_rows(obs_dir) == sim_rows(scalar_dir),
+          "stats.csv differs under ELSA_SIMD=scalar "
+          "(host.* rows excluded)")
+
+
 def main():
     if len(sys.argv) == 3 and sys.argv[1] == "--serve":
         run_serve_check(sys.argv[2])
@@ -1064,6 +1099,20 @@ def main():
         check_manifest(load_json(os.path.join(obs_dir,
                                               "manifest.json")),
                        stats)
+
+        # The simulator promises byte-identical artifacts at every
+        # SIMD dispatch level (common/simd/simd.h): replay the run
+        # with dispatch pinned to the scalar table and compare.
+        scalar_dir = os.path.join(tmp, "obs_scalar")
+        result = subprocess.run(
+            [quickstart, "--obs-dir", scalar_dir],
+            env=dict(env, ELSA_SIMD="scalar"), capture_output=True,
+            text=True, timeout=600)
+        check(result.returncode == 0,
+              f"ELSA_SIMD=scalar quickstart exited "
+              f"{result.returncode}:\n{result.stderr[-2000:]}")
+        if result.returncode == 0:
+            check_simd_identity(obs_dir, scalar_dir)
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -116,8 +116,8 @@ class ElsaSystem
     /**
      * Route every simulated run's stats/trace into the given sinks
      * (non-owning; pass nullptr to detach). Counters land under
-     * `<prefix>.*`; tracing additionally needs
-     * config.sim.emit_trace = true.
+     * `<prefix>.*`; pipeline events go to `trace` when it is
+     * enabled.
      */
     void attachObservability(obs::StatsRegistry* stats,
                              obs::TraceWriter* trace,

@@ -87,7 +87,6 @@ ServeEngine::ServeEngine(ServeConfig config)
     SimConfig catalog_sim = config_.sim;
     catalog_sim.fault = FaultConfig{};
     catalog_sim.collect_query_trace = false;
-    catalog_sim.emit_trace = false;
     catalog_sim.attribute_stalls = false;
     catalog_sim.telemetry = TelemetryConfig{};
     catalog_sim.query_spans = QuerySpanConfig{};

@@ -16,9 +16,12 @@
  *                   longest-queue-first arbiter); the query's pipeline
  *                   interval is the maximum of the bank times, the
  *                   next query's hash time, and the previous query's
- *                   output division time (Fig. 9);
- *   activity:       per-module active-cycle counters feed the energy
- *                   model (Fig. 13).
+ *                   output division time (Fig. 9).
+ *
+ * run() is that timing core: it emits each fact once, as a record,
+ * and every view of the run -- the activity counters the energy
+ * model reads (Fig. 13), stall attribution, telemetry, spans and the
+ * trace -- is a sink of the one record stream (sim/sinks.h).
  */
 
 #include <cstddef>
@@ -42,8 +45,11 @@ class TraceWriter;
 
 namespace elsa {
 
-/** One query's timing, recorded when SimConfig::collect_query_trace
- *  is set. */
+/**
+ * One query's pipeline interval [begin, begin + interval_cycles):
+ * the per-query record of the record stream (sim/sinks.h), kept in
+ * RunResult::query_trace when SimConfig::collect_query_trace is set.
+ */
 struct QueryTraceRecord
 {
     std::size_t query_id = 0;
@@ -55,8 +61,16 @@ struct QueryTraceRecord
     std::size_t candidates = 0;
     /** Candidate-module stall cycles across banks. */
     std::size_t stall_cycles = 0;
-    /** True when the no-candidate fallback fired. */
+    /** True when the no-candidate fallback fired, in fallback_bank. */
     bool used_fallback = false;
+    std::uint32_t fallback_bank = 0;
+    std::uint64_t begin = 0;
+    /** The slowest bank (ties -> lowest index) and the cycle its
+     *  modules finished scanning. */
+    std::size_t critical_bank = 0;
+    std::size_t critical_scan_done = 0;
+    /** Output-queue occupancy integral across banks. */
+    std::size_t queue_occupancy = 0;
 };
 
 /** Timing and value results of one self-attention run. */
@@ -170,11 +184,13 @@ class Accelerator
                      std::string prefix = "sim.accel0");
 
     /**
-     * Emit pipeline events of future runs to `trace` (requires
-     * SimConfig::emit_trace). `pid` labels this accelerator in the
-     * trace; module timelines become threads of that process.
-     * Thread-name metadata is emitted immediately. Pass nullptr to
-     * detach. Not owned; must outlive the accelerator.
+     * Emit pipeline events of future runs to `trace` (Chrome
+     * trace_event JSON; open in chrome://tracing or Perfetto):
+     * tracing is on exactly while an enabled writer is attached.
+     * `pid` labels this accelerator in the trace; module timelines
+     * become threads of that process. Thread-name metadata is
+     * emitted immediately. Pass nullptr to detach. Not owned; must
+     * outlive the accelerator.
      */
     void attachTrace(obs::TraceWriter* trace, std::uint32_t pid = 0);
 

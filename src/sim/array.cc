@@ -52,8 +52,7 @@ AcceleratorArray::run(const std::vector<const AttentionInput*>& inputs,
         ELSA_CHECK(inputs[i] != nullptr, "null input " << i);
     }
 
-    const bool tracing = accelerator_.config().emit_trace
-                         && trace_ != nullptr && trace_->enabled();
+    const bool tracing = trace_ != nullptr && trace_->enabled();
 
     // ---- Parallel phase: per-invocation simulation ----
     // Invocations are independent, so they fan out across the pool.

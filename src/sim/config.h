@@ -118,15 +118,6 @@ struct SimConfig
     bool attribute_stalls = false;
 
     /**
-     * Emit pipeline begin/end + counter events to the TraceWriter
-     * attached via Accelerator::attachTrace (Chrome trace_event
-     * JSON; open in chrome://tracing or Perfetto). With the flag off
-     * -- or no writer attached -- the per-query cost is one branch.
-     * Tracing never changes simulated cycle counts.
-     */
-    bool emit_trace = false;
-
-    /**
      * When true, the functional model applies the hardware number
      * formats (S5.3 inputs, 8-bit key norms, LUT exponent/reciprocal/
      * sqrt, custom-float accumulation). When false, the functional

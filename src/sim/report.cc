@@ -291,18 +291,8 @@ writeTelemetryJson(std::ostream& os, const obs::TimeSeries& series,
             || registry.kind(name) != obs::MetricKind::kDigest) {
             continue;
         }
-        const obs::QuantileDigest d = registry.digestValue(name);
-        w.key(name).beginObject();
-        w.kv("count", d.count());
-        if (d.count() > 0) {
-            w.kv("min", d.min());
-            w.kv("max", d.max());
-            w.kv("p50", d.quantile(0.50));
-            w.kv("p90", d.quantile(0.90));
-            w.kv("p95", d.quantile(0.95));
-            w.kv("p99", d.quantile(0.99));
-        }
-        w.endObject();
+        w.key(name);
+        writeDigestObject(w, registry.digestValue(name));
     }
     w.endObject();
 

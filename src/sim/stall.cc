@@ -1,5 +1,7 @@
 #include "sim/stall.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace elsa {
@@ -15,25 +17,14 @@ allStallCauses()
     return causes;
 }
 
-const char*
+std::string
 stallCauseName(StallCause cause)
 {
-    switch (cause) {
-    case StallCause::kBusy:
-        return "busy";
-    case StallCause::kStarved:
-        return "starved";
-    case StallCause::kBackpressured:
-        return "backpressured";
-    case StallCause::kBankConflict:
-        return "bank conflict";
-    case StallCause::kDrained:
-        return "drained";
-    case StallCause::kFaultRetry:
-        return "fault retry";
-    }
-    ELSA_PANIC("unknown StallCause "
-               << static_cast<int>(cause));
+    // "bank_conflict_cycles" -> "bank conflict": one name table.
+    std::string name = stallCauseMetricName(cause);
+    name.erase(name.rfind("_cycles"));
+    std::replace(name.begin(), name.end(), '_', ' ');
+    return name;
 }
 
 const char*

@@ -77,8 +77,9 @@ inline constexpr std::size_t kNumStallCauses = 6;
 /** All states, in enum order. */
 const std::array<StallCause, kNumStallCauses>& allStallCauses();
 
-/** Human-readable state name ("busy", "starved", ...). */
-const char* stallCauseName(StallCause cause);
+/** Human-readable state name ("busy", "bank conflict", ...), derived
+ *  from stallCauseMetricName(). */
+std::string stallCauseName(StallCause cause);
 
 /**
  * Stable metric-path segment ("busy_cycles", "starved_cycles",

@@ -749,35 +749,6 @@ makeHasher()
         KroneckerSrpHasher::makeRandom(64, 3, rng));
 }
 
-TEST(ObsSimTest, ObservabilityDoesNotChangeSimulatedCycles)
-{
-    const AttentionInput input = randomInput(64, 11);
-    const auto hasher = makeHasher();
-
-    SimConfig plain_config = SimConfig::paperConfig();
-    Accelerator plain(plain_config, hasher, kThetaBias64);
-    const RunResult baseline = plain.run(input, 0.2);
-
-    SimConfig obs_config = SimConfig::paperConfig();
-    obs_config.collect_query_trace = true;
-    obs_config.emit_trace = true;
-    StatsRegistry registry;
-    TraceWriter trace("/dev/null");
-    Accelerator instrumented(obs_config, hasher, kThetaBias64);
-    instrumented.attachStats(&registry, "sim.accel0");
-    instrumented.attachTrace(&trace, 0);
-    const RunResult traced = instrumented.run(input, 0.2);
-    EXPECT_GT(trace.eventCount(), 0u);
-    trace.close();
-
-    EXPECT_EQ(traced.preprocess_cycles, baseline.preprocess_cycles);
-    EXPECT_EQ(traced.execute_cycles, baseline.execute_cycles);
-    EXPECT_EQ(traced.stall_cycles, baseline.stall_cycles);
-    EXPECT_EQ(traced.empty_selections, baseline.empty_selections);
-    EXPECT_EQ(traced.candidates_per_query,
-              baseline.candidates_per_query);
-}
-
 TEST(ObsSimTest, PublishedCountersMatchComputeUtilization)
 {
     const AttentionInput input = randomInput(96, 7);

@@ -223,7 +223,6 @@ TEST(ParallelDeterminismTest, TraceIdenticalAtAnyThreadCount)
     for (const std::size_t threads : kThreadCounts) {
         GlobalThreadsGuard guard(threads);
         SystemConfig config = tinyConfig();
-        config.sim.emit_trace = true;
         ElsaSystem system({sasRec(), movieLens1M()}, config);
         obs::TraceWriter writer = obs::TraceWriter::memoryBuffer();
         system.attachObservability(nullptr, &writer);

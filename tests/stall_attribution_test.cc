@@ -3,7 +3,8 @@
  * Tests of the stall-cause attribution layer (sim/stall.h): the
  * lane-cycle conservation invariant across random pipeline
  * configurations, published counter consistency, clean registry
- * resets, non-perturbation of simulated cycle counts, and the
+ * resets, non-perturbation of simulated results by every subset of
+ * the run's views (attribution, telemetry, spans, trace), and the
  * bottleneck report's claim cross-checked by perturbing module
  * throughputs.
  *
@@ -14,8 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/rng.h"
@@ -76,7 +80,8 @@ TEST(StallAttributionTest, ConservesAcrossRandomConfigs)
     const std::size_t mo_choices[] = {4, 16, 64};
     const std::size_t qd_choices[] = {1, 2, 4};
     const std::size_t lat_choices[] = {0, 1, 2, 5};
-    const std::size_t n_choices[] = {16, 48, 96};
+    // n = 1, 5 and 13 leave banks empty for pa > 1.
+    const std::size_t n_choices[] = {1, 5, 13, 16, 48, 96};
 
     auto hasher = makeHasher();
     for (int trial = 0; trial < 24; ++trial) {
@@ -91,7 +96,8 @@ TEST(StallAttributionTest, ConservesAcrossRandomConfigs)
         config.attribute_stalls = true;
         ASSERT_NO_THROW(config.validate());
 
-        const std::size_t n = n_choices[rng.uniformInt(3)];
+        const std::size_t n =
+            n_choices[rng.uniformInt(std::size(n_choices))];
         const AttentionInput input = makeInput(n, 100 + trial);
         // Thresholds spanning all-candidate, typical, and sparse
         // selection regimes.
@@ -215,30 +221,100 @@ TEST(StallAttributionTest, StatsNotPublishedWhenAttributionOff)
 
 // --- Non-perturbation -----------------------------------------------
 
-TEST(StallAttributionTest, AttributionDoesNotChangeCycleCounts)
+TEST(StallAttributionTest, NoSinkSubsetChangesSimulatedResults)
 {
+    // Every view of a run is a sink of one record stream (sim/sinks.h)
+    // and none may feed back into the timing or the values: all 16
+    // on/off subsets of {attribution, telemetry, spans, trace writer}
+    // must reproduce the plain run exactly. Telemetry and spans
+    // require attribution, so those subsets must be rejected instead.
     auto hasher = makeHasher();
-    const AttentionInput input = makeInput(96, 13);
-    for (const double threshold :
-         {-std::numeric_limits<double>::infinity(), 0.3}) {
-        SimConfig off = SimConfig::paperConfig();
+    struct Case
+    {
+        std::size_t n;
+        std::uint64_t seed;
+        double threshold;
+    };
+    const Case cases[] = {
+        {96, 13, -std::numeric_limits<double>::infinity()},
+        {96, 13, 0.3},
+        {48, 0xBEE, 0.0},
+        {5, 5, 0.3}, // pa = 4 leaves the last bank empty
+        {16, 7, std::numeric_limits<double>::infinity()}, // fallback
+    };
+    for (const Case& c : cases) {
+        const AttentionInput input = makeInput(c.n, c.seed);
         const RunResult plain =
-            Accelerator(off, hasher, kThetaBias64)
-                .run(input, threshold);
+            Accelerator(SimConfig::paperConfig(), hasher, kThetaBias64)
+                .run(input, c.threshold);
+        EXPECT_TRUE(plain.stall_breakdown.empty());
+        std::optional<StallBreakdown> breakdown;
+        for (unsigned subset = 0; subset < 16; ++subset) {
+            const bool attribute = (subset & 1u) != 0;
+            const bool telemetry = (subset & 2u) != 0;
+            const bool spans = (subset & 4u) != 0;
+            const bool tracing = (subset & 8u) != 0;
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << c.n << " t=" << c.threshold
+                         << " attribution=" << attribute
+                         << " telemetry=" << telemetry
+                         << " spans=" << spans << " trace=" << tracing);
+            SimConfig config = SimConfig::paperConfig();
+            config.collect_query_trace = true;
+            config.attribute_stalls = attribute;
+            config.telemetry.enabled = telemetry;
+            config.query_spans.enabled = spans;
+            if ((telemetry || spans) && !attribute) {
+                EXPECT_THROW(config.validate(), Error);
+                continue;
+            }
+            obs::StatsRegistry registry;
+            obs::TraceWriter trace = obs::TraceWriter::memoryBuffer();
+            Accelerator accel(config, hasher, kThetaBias64);
+            accel.attachStats(&registry, "sim.accel0");
+            if (tracing) {
+                accel.attachTrace(&trace);
+            }
+            const RunResult run = accel.run(input, c.threshold);
 
-        SimConfig on = SimConfig::paperConfig();
-        on.attribute_stalls = true;
-        on.collect_query_trace = true;
-        on.emit_trace = true;
-        obs::TraceWriter trace(
-            ::testing::TempDir() + "stall_attribution_trace.json");
-        Accelerator instrumented(on, hasher, kThetaBias64);
-        instrumented.attachTrace(&trace);
-        const RunResult traced = instrumented.run(input, threshold);
-
-        EXPECT_EQ(plain.preprocess_cycles, traced.preprocess_cycles);
-        EXPECT_EQ(plain.execute_cycles, traced.execute_cycles);
-        EXPECT_EQ(plain.stall_cycles, traced.stall_cycles);
+            EXPECT_EQ(run.preprocess_cycles, plain.preprocess_cycles);
+            EXPECT_EQ(run.execute_cycles, plain.execute_cycles);
+            EXPECT_EQ(run.totalCycles(), plain.totalCycles());
+            EXPECT_EQ(run.stall_cycles, plain.stall_cycles);
+            EXPECT_EQ(run.empty_selections, plain.empty_selections);
+            EXPECT_EQ(run.candidates_per_query,
+                      plain.candidates_per_query);
+            EXPECT_EQ(run.query_trace.size(), c.n);
+            for (const HwModule module : allHwModules()) {
+                EXPECT_EQ(run.activity.get(module),
+                          plain.activity.get(module))
+                    << hwModuleMetricName(module);
+            }
+            ASSERT_EQ(run.output.size(), plain.output.size());
+            EXPECT_EQ(std::memcmp(run.output.data(), plain.output.data(),
+                                  plain.output.size() * sizeof(float)),
+                      0)
+                << "output matrix is not bit-equal";
+            EXPECT_EQ(run.telemetry != nullptr, telemetry);
+            EXPECT_EQ(run.spans != nullptr, spans);
+            EXPECT_EQ(trace.eventCount() > 0, tracing);
+            if (!attribute) {
+                EXPECT_TRUE(run.stall_breakdown.empty());
+                continue;
+            }
+            expectConserves(run, config, "subset");
+            if (!breakdown) {
+                breakdown = run.stall_breakdown;
+            }
+            for (const AttributedModule module : allAttributedModules()) {
+                for (const StallCause cause : allStallCauses()) {
+                    EXPECT_EQ(run.stall_breakdown.get(module, cause),
+                              breakdown->get(module, cause))
+                        << attributedModuleName(module) << " / "
+                        << stallCauseName(cause);
+                }
+            }
+        }
     }
 }
 
