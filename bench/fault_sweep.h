@@ -3,13 +3,11 @@
 
 /**
  * @file
- * Shared core of the error-resilience sweep (docs/ROBUSTNESS.md):
+ * Core of the error-resilience sweep (docs/ROBUSTNESS.md):
  * bit-error rate x protection mode on one quantized attention run,
  * reporting how attention fidelity (attention/metrics.h) degrades and
- * what the modeled recovery costs in cycles. Used by the elsa_bench
- * suite entry `ext_fault_sweep` and the standalone binary of the
- * same name, so both report identical numbers under one metric
- * namespace.
+ * what the modeled recovery costs in cycles. Behind the elsa_bench
+ * suite entry `ext_fault_sweep`.
  *
  * Everything here is deterministic: the workload, the hash matrices,
  * and every fault plan derive from fixed seeds, so the sweep is

@@ -3,13 +3,11 @@
 
 /**
  * @file
- * Shared core of the serving overload sweep (docs/SERVING.md):
+ * Core of the serving overload sweep (docs/SERVING.md):
  * offered load x policy (static fidelity vs. graceful degradation)
  * on the canonical overload scenario, reporting goodput, shed rate,
- * deadline-miss rate, and tail latency vs. the SLO per cell. Used by
- * the elsa_bench suite entry `serve_overload` and the standalone
- * binary `ext_serve_overload`, so both report identical numbers
- * under one metric namespace.
+ * deadline-miss rate, and tail latency vs. the SLO per cell. Behind
+ * the elsa_bench suite entry `serve_overload`.
  *
  * Both policies of a load point see the *identical* arrival trace
  * (same seed, same rate), so the degradation ladder's effect --

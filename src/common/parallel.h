@@ -16,17 +16,17 @@
  *     (see docs/PARALLELISM.md for the contract).
  *
  *  2. **Composability.** parallelFor may be called from inside a
- *     task running on the same pool (e.g. elsa_bench runs suite
- *     entries on the pool, and each entry's AcceleratorArray::run
- *     fans out again). A nested call pushes its chunks onto the
- *     calling worker's own deque and the worker keeps executing
- *     chunks *of that job* -- its own first, stolen otherwise --
- *     until the job completes. While joining, a thread never picks
- *     up chunks of unrelated jobs: tasks may block on shared
- *     once-cells (the fidelity / mode-report caches), and running a
- *     second task above such a region could re-enter it on the same
- *     stack and deadlock. Nesting therefore cannot deadlock, even
- *     through std::call_once-guarded caches.
+ *     task running on the same pool (e.g. elsa_bench evaluates
+ *     workloads on the pool, and each workload's
+ *     AcceleratorArray::run fans out again). A nested call pushes
+ *     its chunks onto the calling worker's own deque and the worker
+ *     keeps executing chunks *of that job* -- its own first, stolen
+ *     otherwise -- until the job completes. While joining, a thread
+ *     never picks up chunks of unrelated jobs: tasks may block on
+ *     shared once-cells (the ElsaSystem fidelity cache), and running
+ *     a second task above such a region could re-enter it on the
+ *     same stack and deadlock. Nesting therefore cannot deadlock,
+ *     even through std::call_once-guarded caches.
  *
  *  3. **Zero surprise at one thread.** A pool of size 1 (or n <= 1)
  *     runs the loop inline on the caller; no worker threads are

@@ -105,11 +105,11 @@ TEST(ParallelTest, NestedParallelForCompletes)
 TEST(ParallelTest, NestingUnderCallOnceDoesNotDeadlock)
 {
     // Regression test: tasks that fill shared once-cells, where the
-    // fill itself fans out on the same pool (the elsa_bench
-    // mode-cache shape). A joining thread that steals an unrelated
-    // outer task would re-enter the active call_once on its own
-    // stack and deadlock; the pool must only run the joined job's
-    // chunks while waiting.
+    // fill itself fans out on the same pool (the ElsaSystem
+    // fidelity-cache shape). A joining thread that steals an
+    // unrelated outer task would re-enter the active call_once on
+    // its own stack and deadlock; the pool must only run the joined
+    // job's chunks while waiting.
     ThreadPool pool(4);
     struct Cell
     {
