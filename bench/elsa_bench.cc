@@ -337,12 +337,12 @@ runFig13b(const SuiteContext& ctx, EntryLog& log)
             "attention compute (+division),\ninternal SRAM (key "
             "hash/norm), external SRAM (key/value + "
             "query/output).\n\n");
-    log.add("%-18s %-10s %8s %8s %8s %8s %8s\n", "workload", "config",
+    log.add("%-18s %-12s %8s %8s %8s %8s %8s\n", "workload", "config",
             "approx", "attn", "intSRAM", "extSRAM", "total");
     for (std::size_t w = 0; w < ctx.workloads.size(); ++w) {
         for (const ModeReport& report : ctx.modes[w]) {
             const EnergyBreakdown& e = report.energy_breakdown;
-            log.add("%-18s %-10s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+            log.add("%-18s %-12s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
                     ctx.workloads[w].label().c_str(),
                     approxModeName(report.mode) + 5, // strip "ELSA-"
                     e.approximationLogicUj(), e.attentionComputeUj(),

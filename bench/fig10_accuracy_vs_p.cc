@@ -59,8 +59,9 @@ main(int argc, char** argv)
     for (const auto& spec : evaluationWorkloads()) {
         WorkloadRunner runner(spec);
         std::printf("%-18s", spec.label().c_str());
-        for (const double p : p_grid) {
-            const WorkloadEvaluation eval = runner.evaluate(p, options);
+        for (const WorkloadEvaluation& eval :
+             runner.evaluateGrid(p_grid, options)) {
+            const double p = eval.p;
             std::printf("  %5.1f  %5.2f",
                         100.0 * eval.mean_candidate_fraction,
                         eval.estimated_loss_pct);

@@ -224,10 +224,9 @@ main(int argc, char** argv)
     for (const double p : {0.5, 1.0, 2.0, 4.0, 8.0}) {
         const double threshold =
             engine.learnThreshold(input.query, input.key, p);
+        std::vector<std::vector<std::uint32_t>> candidates;
         const ApproxAttentionResult result = engine.approxAttention(
-            input.query, input.key, input.value, threshold);
-        const auto candidates =
-            engine.engine().candidatesForAll(input, threshold);
+            input.query, input.key, input.value, threshold, &candidates);
         const FidelityReport fidelity =
             measureFidelity(input, candidates, result.output);
         const double fraction =

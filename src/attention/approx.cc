@@ -10,6 +10,34 @@
 
 namespace elsa {
 
+namespace {
+
+/**
+ * Exact attention of query i restricted to the keys ids[0..count):
+ * dot products and softmax over the candidates, then the weighted
+ * sum of their value rows into `out` (zero-initialised).
+ */
+void
+attendOverCandidates(const AttentionInput& input, std::size_t i,
+                     const std::uint32_t* ids, std::size_t count,
+                     std::vector<double>& scores, float* out)
+{
+    scores.resize(count);
+    scoreGathered(input.query.row(i), input.key, ids, count,
+                  scores.data());
+    softmaxInPlace(scores);
+    const std::size_t d = input.d();
+    for (std::size_t c = 0; c < count; ++c) {
+        const double w = scores[c];
+        const float* v = input.value.row(ids[c]);
+        for (std::size_t col = 0; col < d; ++col) {
+            out[col] += static_cast<float>(w * v[col]);
+        }
+    }
+}
+
+} // namespace
+
 std::size_t
 ApproxAttentionStats::totalCandidates() const
 {
@@ -84,45 +112,59 @@ ApproxSelfAttention::candidatesForAll(const AttentionInput& input,
 }
 
 ApproxAttentionResult
-ApproxSelfAttention::run(const AttentionInput& input,
-                         double threshold) const
+ApproxSelfAttention::run(
+    const AttentionInput& input, double threshold,
+    std::vector<std::vector<std::uint32_t>>* selected) const
+{
+    input.validate();
+    const KeyPreprocessing prep = preprocessKeys(input.key);
+    return run(input, prep, hasher_->hashMatrix(input.query), threshold,
+               selected);
+}
+
+ApproxAttentionResult
+ApproxSelfAttention::run(
+    const AttentionInput& input, const KeyPreprocessing& prep,
+    const HashMatrix& query_hashes, double threshold,
+    std::vector<std::vector<std::uint32_t>>* selected) const
 {
     input.validate();
     const std::size_t n = input.n();
-    const std::size_t d = input.d();
-    const KeyPreprocessing prep = preprocessKeys(input.key);
+    ELSA_CHECK(prep.hashes.rows() == n && query_hashes.rows() == n,
+               "hashes of " << prep.hashes.rows() << " keys and "
+                            << query_hashes.rows()
+                            << " queries for n = " << n);
 
     ApproxAttentionResult result;
-    result.output = Matrix(n, d);
+    result.output = Matrix(n, input.d());
     result.stats.candidates_per_query.resize(n);
+    if (selected != nullptr) {
+        selected->resize(n);
+    }
 
-    const HashMatrix query_hashes = hasher_->hashMatrix(input.query);
+    const double cutoff = threshold * prep.max_norm;
+    std::vector<std::uint32_t> scratch;
     std::vector<double> scores;
     for (std::size_t i = 0; i < n; ++i) {
         const HashView qh = query_hashes[i];
-        std::vector<std::uint32_t> cands =
-            selectCandidates(qh, prep, threshold);
-        if (cands.empty()) {
+        std::vector<std::uint32_t>& cands =
+            selected != nullptr ? (*selected)[i] : scratch;
+        cands.clear();
+        selectAboveCutoff(qh, prep.hashes, prep.norms, cos_lut_, cutoff,
+                          0, n, cands);
+        const std::uint32_t* ids = cands.data();
+        std::size_t count = cands.size();
+        std::uint32_t fallback = 0;
+        if (count == 0) {
             ++result.stats.empty_selections;
-            cands.push_back(argmaxSimilarity(qh, prep.hashes, prep.norms,
-                                             cos_lut_, 0,
-                                             prep.hashes.rows()));
+            fallback = argmaxSimilarity(qh, prep.hashes, prep.norms,
+                                        cos_lut_, 0, n);
+            ids = &fallback;
+            count = 1;
         }
-        result.stats.candidates_per_query[i] = cands.size();
-
-        // Exact dot products and softmax restricted to candidates.
-        scores.resize(cands.size());
-        scoreGathered(input.query.row(i), input.key, cands.data(),
-                      cands.size(), scores.data());
-        softmaxInPlace(scores);
-        float* out = result.output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
+        result.stats.candidates_per_query[i] = count;
+        attendOverCandidates(input, i, ids, count, scores,
+                             result.output.row(i));
     }
     return result;
 }
@@ -157,19 +199,8 @@ ApproxSelfAttention::runCausal(const AttentionInput& input,
                                              cos_lut_, 0, i + 1));
         }
         result.stats.candidates_per_query[i] = cands.size();
-
-        scores.resize(cands.size());
-        scoreGathered(input.query.row(i), input.key, cands.data(),
-                      cands.size(), scores.data());
-        softmaxInPlace(scores);
-        float* out = result.output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
+        attendOverCandidates(input, i, cands.data(), cands.size(),
+                             scores, result.output.row(i));
     }
     return result;
 }
@@ -194,18 +225,8 @@ ApproxSelfAttention::attentionOverCandidates(
         for (const std::uint32_t key : cands) {
             ELSA_CHECK(key < n, "candidate index out of range");
         }
-        scores.resize(cands.size());
-        scoreGathered(input.query.row(i), input.key, cands.data(),
-                      cands.size(), scores.data());
-        softmaxInPlace(scores);
-        float* out = output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
+        attendOverCandidates(input, i, cands.data(), cands.size(),
+                             scores, output.row(i));
     }
     return output;
 }

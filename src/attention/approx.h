@@ -105,10 +105,26 @@ class ApproxSelfAttention
      * Full approximate attention. When a query selects no candidate,
      * the key with the highest approximate similarity is used so the
      * output row stays well-defined; stats.empty_selections counts
-     * how often this fallback fired.
+     * how often this fallback fired. `selected`, when non-null,
+     * receives the candidate lists as in the overload below.
      */
-    ApproxAttentionResult run(const AttentionInput& input,
-                              double threshold) const;
+    ApproxAttentionResult
+    run(const AttentionInput& input, double threshold,
+        std::vector<std::vector<std::uint32_t>>* selected = nullptr) const;
+
+    /**
+     * run() on an input whose p-independent half is already done:
+     * `prep` = preprocessKeys(input.key) and `query_hashes` = the
+     * hasher's hashMatrix(input.query). Callers sweeping several
+     * thresholds over one input hash it once. When `selected` is
+     * non-null it receives every query's candidate list as selected,
+     * before the argmax fallback (an empty list where the fallback
+     * fired) -- the lists candidatesForAll() returns.
+     */
+    ApproxAttentionResult
+    run(const AttentionInput& input, const KeyPreprocessing& prep,
+        const HashMatrix& query_hashes, double threshold,
+        std::vector<std::vector<std::uint32_t>>* selected = nullptr) const;
 
     /**
      * Candidate lists for every query of the input (no attention

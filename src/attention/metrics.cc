@@ -32,7 +32,17 @@ measureFidelity(const AttentionInput& input,
     input.validate();
     ELSA_CHECK(candidates.size() == input.n(),
                "candidate list count mismatch in measureFidelity");
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
+    return measureFidelity(exactAttentionTrace(input), candidates,
+                           approx_output);
+}
+
+FidelityReport
+measureFidelity(const ExactAttentionTrace& trace,
+                const std::vector<std::vector<std::uint32_t>>& candidates,
+                const Matrix& approx_output)
+{
+    ELSA_CHECK(candidates.size() == trace.scores.size(),
+               "candidate list count mismatch in measureFidelity");
     const std::vector<double> mass = perQueryMass(trace, candidates);
 
     FidelityReport report;

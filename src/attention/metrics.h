@@ -49,6 +49,16 @@ measureFidelity(const AttentionInput& input,
                 const Matrix& approx_output);
 
 /**
+ * measureFidelity() against a precomputed exactAttentionTrace() of
+ * the input, for callers that score several candidate sets of one
+ * input. Identical results.
+ */
+FidelityReport
+measureFidelity(const ExactAttentionTrace& trace,
+                const std::vector<std::vector<std::uint32_t>>& candidates,
+                const Matrix& approx_output);
+
+/**
  * Softmax-mass recall only (no output error), useful when only
  * candidate quality matters.
  */

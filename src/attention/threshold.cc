@@ -17,11 +17,19 @@ ThresholdLearner::ThresholdLearner(double p) : p_(p)
 void
 ThresholdLearner::observe(const Matrix& query, const Matrix& key)
 {
+    observeAll(std::span<ThresholdLearner>(this, 1), query, key);
+}
+
+void
+ThresholdLearner::observeAll(std::span<ThresholdLearner> learners,
+                             const Matrix& query, const Matrix& key)
+{
     ELSA_CHECK(query.cols() == key.cols(),
                "query/key dim mismatch in threshold learning");
     ELSA_CHECK(query.rows() == key.rows(),
                "query/key row mismatch in threshold learning");
-    if (p_ == 0.0) {
+    if (std::all_of(learners.begin(), learners.end(),
+                    [](const ThresholdLearner& l) { return l.p_ == 0.0; })) {
         return; // Exact mode; no threshold to learn.
     }
     ELSA_PROF_SCOPE("threshold.observe");
@@ -36,7 +44,6 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
     }
     ELSA_CHECK(max_key_norm > 0.0, "all-zero key matrix");
 
-    const double score_floor = p_ / static_cast<double>(n);
     std::vector<double> raw(n);
     for (std::size_t i = 0; i < n; ++i) {
         const float* q = query.row(i);
@@ -46,13 +53,7 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
         }
         scoreRows(q, key, 0, n, raw.data());
         const std::vector<double> soft = softmax(raw);
-
-        // Step 1: keys whose softmax score exceeds p/n; step 2: among
-        // them, the one with the minimum softmax score. When none
-        // qualifies (possible for p > 1), take the max-score key
-        // (footnote 1 of the paper).
-        std::size_t chosen = n;
-        double chosen_soft = std::numeric_limits<double>::infinity();
+        // The max-score key, the fallback of step 2.
         double best_soft = -1.0;
         std::size_t best_j = 0;
         for (std::size_t j = 0; j < n; ++j) {
@@ -60,16 +61,32 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
                 best_soft = soft[j];
                 best_j = j;
             }
-            if (soft[j] > score_floor && soft[j] < chosen_soft) {
-                chosen_soft = soft[j];
-                chosen = j;
+        }
+
+        for (ThresholdLearner& learner : learners) {
+            if (learner.p_ == 0.0) {
+                continue;
             }
+            // Step 1: keys whose softmax score exceeds p/n; step 2:
+            // among them, the one with the minimum softmax score.
+            // When none qualifies (possible for p > 1), take the
+            // max-score key (footnote 1 of the paper).
+            const double score_floor =
+                learner.p_ / static_cast<double>(n);
+            std::size_t chosen = n;
+            double chosen_soft = std::numeric_limits<double>::infinity();
+            for (std::size_t j = 0; j < n; ++j) {
+                if (soft[j] > score_floor && soft[j] < chosen_soft) {
+                    chosen_soft = soft[j];
+                    chosen = j;
+                }
+            }
+            if (chosen == n) {
+                chosen = best_j;
+            }
+            // Normalize the raw score by ||q|| * ||K_max||.
+            learner.stat_.add(raw[chosen] / (q_norm * max_key_norm));
         }
-        if (chosen == n) {
-            chosen = best_j;
-        }
-        // Normalize the raw score by ||q|| * ||K_max||.
-        stat_.add(raw[chosen] / (q_norm * max_key_norm));
     }
 }
 

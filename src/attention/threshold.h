@@ -20,6 +20,7 @@
  */
 
 #include <cstddef>
+#include <span>
 
 #include "attention/exact.h"
 #include "common/stats.h"
@@ -47,6 +48,15 @@ class ThresholdLearner
      * training input.
      */
     void observe(const Matrix& query, const Matrix& key);
+
+    /**
+     * observe() for several learners at once, typically one per p of
+     * a grid: each query's scores and softmax are computed once, and
+     * only the chosen-key scan runs per learner. Every learner ends
+     * up exactly as if observe() had been called on it alone.
+     */
+    static void observeAll(std::span<ThresholdLearner> learners,
+                           const Matrix& query, const Matrix& key);
 
     /** Number of (query) samples folded into the threshold so far. */
     std::size_t sampleCount() const { return stat_.count(); }

@@ -39,10 +39,13 @@ Elsa::learnThreshold(const Matrix& query, const Matrix& key,
 }
 
 ApproxAttentionResult
-Elsa::approxAttention(const Matrix& query, const Matrix& key,
-                      const Matrix& value, double threshold) const
+Elsa::approxAttention(
+    const Matrix& query, const Matrix& key, const Matrix& value,
+    double threshold,
+    std::vector<std::vector<std::uint32_t>>* selected) const
 {
-    return engine_->run(AttentionInput{query, key, value}, threshold);
+    return engine_->run(AttentionInput{query, key, value}, threshold,
+                        selected);
 }
 
 } // namespace elsa

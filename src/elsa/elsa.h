@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "attention/approx.h"
 #include "attention/exact.h"
@@ -61,11 +62,16 @@ class Elsa
     double learnThreshold(const Matrix& query, const Matrix& key,
                           double p) const;
 
-    /** Approximate self-attention with a learned threshold. */
-    ApproxAttentionResult approxAttention(const Matrix& query,
-                                          const Matrix& key,
-                                          const Matrix& value,
-                                          double threshold) const;
+    /**
+     * Approximate self-attention with a learned threshold. When
+     * `selected` is non-null it receives every query's candidate
+     * list before the no-candidate fallback (see
+     * ApproxSelfAttention::run), the input of measureFidelity().
+     */
+    ApproxAttentionResult approxAttention(
+        const Matrix& query, const Matrix& key, const Matrix& value,
+        double threshold,
+        std::vector<std::vector<std::uint32_t>>* selected = nullptr) const;
 
     /** The underlying engine, for advanced use. */
     const ApproxSelfAttention& engine() const { return *engine_; }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/parallel.h"
 #include "common/stats.h"
 #include "sim/pipeline_model.h"
 
@@ -49,21 +48,24 @@ ElsaSystem::attachObservability(obs::StatsRegistry* stats,
     stats_prefix_ = std::move(prefix);
 }
 
+ElsaSystem::FidelityCell&
+ElsaSystem::fidelityCell(double p)
+{
+    std::lock_guard<std::mutex> lk(fidelity_m_);
+    return fidelity_cache_[p];
+}
+
 const WorkloadEvaluation&
 ElsaSystem::fidelityAt(double p)
 {
     // The mutex only guards the map structure; the (address-stable)
     // cell is filled through its once_flag so concurrent callers of
     // the same p block on call_once, not on each other's evaluate().
-    FidelityCell* cell = nullptr;
-    {
-        std::lock_guard<std::mutex> lk(fidelity_m_);
-        cell = &fidelity_cache_[p];
-    }
-    std::call_once(cell->once, [&] {
-        cell->value = runner_.evaluate(p, config_.eval);
+    FidelityCell& cell = fidelityCell(p);
+    std::call_once(cell.once, [&] {
+        cell.value = runner_.evaluate(p, config_.eval);
     });
-    return cell->value;
+    return cell.value;
 }
 
 double
@@ -72,13 +74,18 @@ ElsaSystem::chooseP(ApproxMode mode)
     if (mode == ApproxMode::kBase) {
         return 0.0;
     }
-    // Warm the cache for the whole grid concurrently; the serial
-    // scan below then reads only cached values. WorkloadRunner::
-    // evaluate is const and derives its RNGs from (seed, p), so each
-    // grid point's evaluation is independent of every other.
+    // Fill every grid cell from one pass over the grid; a cell that
+    // fidelityAt already filled keeps its (bit-identical) value.
     const std::vector<double>& grid = WorkloadRunner::standardPGrid();
-    parallelFor(grid.size(),
-                [&](std::size_t i) { fidelityAt(grid[i]); });
+    std::call_once(grid_once_, [&] {
+        std::vector<WorkloadEvaluation> evals =
+            runner_.evaluateGrid(grid, config_.eval);
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            FidelityCell& cell = fidelityCell(grid[g]);
+            std::call_once(cell.once,
+                           [&] { cell.value = std::move(evals[g]); });
+        }
+    });
 
     const double bound = accuracyLossBound(spec_.model, mode);
     double best = 0.0;

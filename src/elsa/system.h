@@ -134,10 +134,10 @@ class ElsaSystem
 
     /**
      * The p chosen for a mode (largest grid p within the bound).
-     * Prefetches the whole standard p grid through the thread pool
-     * before the serial scan -- the chosen p (and every cached
-     * evaluation) is identical at any thread count because each
-     * grid point's evaluation depends only on (p, seed).
+     * The first call fills the whole standard p grid's cache cells
+     * from one WorkloadRunner::evaluateGrid pass (which fans out
+     * over sublayers and inputs); the chosen p and every cached
+     * evaluation are identical at any thread count.
      */
     double chooseP(ApproxMode mode);
 
@@ -162,12 +162,19 @@ class ElsaSystem
         WorkloadEvaluation value;
     };
 
+    /** The cache cell of p, created empty on first use. */
+    FidelityCell& fidelityCell(double p);
+
     WorkloadSpec spec_;
     SystemConfig config_;
     std::uint64_t seed_;
+    /** Owns the thresholds memo that simulateAtP reads, so the
+     *  modes learn each simulated sublayer's grid once. */
     WorkloadRunner runner_;
     std::mutex fidelity_m_;
     std::map<double, FidelityCell> fidelity_cache_;
+    /** Guards the one evaluateGrid pass of chooseP. */
+    std::once_flag grid_once_;
 
     /** Observability sinks (non-owning; see attachObservability). */
     obs::StatsRegistry* stats_ = nullptr;

@@ -5,9 +5,11 @@
 #include <limits>
 
 #include "attention/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "lsh/calibration.h"
+#include "obs/profile.h"
 
 namespace elsa {
 
@@ -84,66 +86,170 @@ WorkloadRunner::standardPGrid()
     return grid;
 }
 
-double
-WorkloadRunner::learnThreshold(const SublayerCoord& coord, double p,
-                               std::size_t num_train_inputs) const
+AttentionInput
+WorkloadRunner::trainInput(const SublayerCoord& coord,
+                           std::uint64_t input_id) const
 {
-    ThresholdLearner learner(p);
+    // Training inputs use ids offset from evaluation inputs.
+    return generator_.generate(coord.layer, coord.head,
+                               trainLength(input_id), 1000000 + input_id);
+}
+
+AttentionInput
+WorkloadRunner::evalInput(const SublayerCoord& coord,
+                          std::uint64_t input_id) const
+{
+    return generator_.generate(coord.layer, coord.head,
+                               evalLength(input_id), input_id);
+}
+
+std::vector<double>
+WorkloadRunner::learnThresholds(const SublayerCoord& coord,
+                                const std::vector<double>& ps,
+                                std::size_t num_train_inputs) const
+{
+    ELSA_PROF_SCOPE("workload.learn_thresholds");
+    std::vector<ThresholdLearner> learners(ps.begin(), ps.end());
     for (std::uint64_t id = 0; id < num_train_inputs; ++id) {
-        const std::size_t n_real = trainLength(id);
-        // Training inputs use ids offset from evaluation inputs.
-        const AttentionInput input = generator_.generate(
-            coord.layer, coord.head, n_real, 1000000 + id);
-        learner.observe(input.query, input.key);
+        const AttentionInput input = trainInput(coord, id);
+        ThresholdLearner::observeAll(learners, input.query, input.key);
     }
-    return learner.threshold();
+    std::vector<double> out;
+    out.reserve(learners.size());
+    for (const ThresholdLearner& learner : learners) {
+        out.push_back(learner.threshold());
+    }
+    return out;
+}
+
+std::vector<double>
+WorkloadRunner::thresholds(const SublayerCoord& coord,
+                           const std::vector<double>& ps,
+                           std::size_t num_train_inputs) const
+{
+    ThresholdCell* cell = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(memo_->m);
+        cell = &memo_->cells[{coord.layer, coord.head, num_train_inputs}];
+    }
+    std::lock_guard<std::mutex> lk(cell->m);
+    std::vector<double> missing;
+    const auto add_missing = [&](double p) {
+        if (cell->by_p.count(p) == 0
+            && std::find(missing.begin(), missing.end(), p)
+                   == missing.end()) {
+            missing.push_back(p);
+        }
+    };
+    for (const double p : ps) {
+        add_missing(p);
+    }
+    if (!missing.empty()) {
+        for (const double p : standardPGrid()) {
+            add_missing(p);
+        }
+        const std::vector<double> learned =
+            learnThresholds(coord, missing, num_train_inputs);
+        for (std::size_t i = 0; i < missing.size(); ++i) {
+            cell->by_p.emplace(missing[i], learned[i]);
+        }
+    }
+    std::vector<double> out;
+    out.reserve(ps.size());
+    for (const double p : ps) {
+        out.push_back(cell->by_p.at(p));
+    }
+    return out;
 }
 
 WorkloadEvaluation
 WorkloadRunner::evaluate(double p,
                          const WorkloadEvalOptions& options) const
 {
-    WorkloadEvaluation eval;
-    eval.p = p;
+    return evaluateGrid({p}, options).front();
+}
+
+std::vector<WorkloadEvaluation>
+WorkloadRunner::evaluateGrid(const std::vector<double>& ps,
+                             const WorkloadEvalOptions& options) const
+{
+    if (ps.empty()) {
+        return {};
+    }
     const auto coords = representativeSublayers(options.max_sublayers);
+    const std::size_t num_inputs = options.num_eval_inputs;
 
-    RunningStat fraction_stat;
-    RunningStat recall_stat;
-    RunningStat error_stat;
-    RunningStat tokens_stat;
-    double worst_recall = 1.0;
+    // Compute into one slot per sublayer, then one per (sublayer,
+    // input); the serial fold below adds to every statistic in the
+    // same order at any thread count (docs/PARALLELISM.md).
+    std::vector<std::vector<double>> thresholds_of(coords.size());
+    parallelFor(coords.size(), [&](std::size_t c) {
+        thresholds_of[c] =
+            thresholds(coords[c], ps, options.num_train_inputs);
+    });
 
-    for (const auto& coord : coords) {
-        const double threshold =
-            learnThreshold(coord, p, options.num_train_inputs);
-        eval.thresholds.push_back(threshold);
-        for (std::uint64_t id = 0; id < options.num_eval_inputs; ++id) {
-            const std::size_t n_real = evalLength(id);
-            tokens_stat.add(static_cast<double>(n_real));
-            const AttentionInput input = generator_.generate(
-                coord.layer, coord.head, n_real, id);
-            const auto candidates =
-                engine_->candidatesForAll(input, threshold);
+    /** Fidelity of one evaluation input at one p. */
+    struct Point
+    {
+        double candidate_fraction = 0.0;
+        FidelityReport fidelity;
+    };
+    std::vector<std::vector<Point>> points(coords.size() * num_inputs);
+    parallelFor(points.size(), [&](std::size_t slot) {
+        const std::size_t c = slot / num_inputs;
+        const AttentionInput input = evalInput(coords[c], slot % num_inputs);
+        ExactAttentionTrace trace;
+        {
+            ELSA_PROF_SCOPE("workload.exact_trace");
+            trace = exactAttentionTrace(input);
+        }
+        const KeyPreprocessing prep = engine_->preprocessKeys(input.key);
+        const HashMatrix query_hashes =
+            hasher_->hashMatrix(input.query);
+        std::vector<std::vector<std::uint32_t>> selected;
+        points[slot].resize(ps.size());
+        for (std::size_t g = 0; g < ps.size(); ++g) {
+            ELSA_PROF_SCOPE("workload.select_attend");
             const ApproxAttentionResult result =
-                engine_->run(input, threshold);
-            const FidelityReport fidelity =
-                measureFidelity(input, candidates, result.output);
-            fraction_stat.add(
-                result.stats.candidateFraction(input.n()));
+                engine_->run(input, prep, query_hashes,
+                             thresholds_of[c][g], &selected);
+            points[slot][g] = {result.stats.candidateFraction(input.n()),
+                               measureFidelity(trace, selected,
+                                               result.output)};
+        }
+    });
+
+    RunningStat tokens_stat;
+    for (std::size_t slot = 0; slot < points.size(); ++slot) {
+        tokens_stat.add(static_cast<double>(evalLength(slot % num_inputs)));
+    }
+    std::vector<WorkloadEvaluation> evals(ps.size());
+    for (std::size_t g = 0; g < ps.size(); ++g) {
+        WorkloadEvaluation& eval = evals[g];
+        eval.p = ps[g];
+        RunningStat fraction_stat;
+        RunningStat recall_stat;
+        RunningStat error_stat;
+        double worst_recall = 1.0;
+        for (std::size_t c = 0; c < coords.size(); ++c) {
+            eval.thresholds.push_back(thresholds_of[c][g]);
+        }
+        for (const std::vector<Point>& point : points) {
+            const FidelityReport& fidelity = point[g].fidelity;
+            fraction_stat.add(point[g].candidate_fraction);
             recall_stat.add(fidelity.mass_recall);
             error_stat.add(fidelity.output_relative_error);
-            worst_recall =
-                std::min(worst_recall, fidelity.mass_recall);
+            worst_recall = std::min(worst_recall, fidelity.mass_recall);
         }
+        eval.mean_candidate_fraction = fraction_stat.mean();
+        eval.mean_mass_recall = recall_stat.mean();
+        eval.worst_mass_recall = worst_recall;
+        eval.mean_output_error = error_stat.mean();
+        eval.mean_real_tokens = tokens_stat.mean();
+        eval.estimated_loss_pct =
+            estimateAccuracyLossPct(spec_.model, eval.mean_mass_recall);
     }
-    eval.mean_candidate_fraction = fraction_stat.mean();
-    eval.mean_mass_recall = recall_stat.mean();
-    eval.worst_mass_recall = worst_recall;
-    eval.mean_output_error = error_stat.mean();
-    eval.mean_real_tokens = tokens_stat.mean();
-    eval.estimated_loss_pct =
-        estimateAccuracyLossPct(spec_.model, eval.mean_mass_recall);
-    return eval;
+    return evals;
 }
 
 double
@@ -154,11 +260,13 @@ WorkloadRunner::choosePForMode(ApproxMode mode,
         return 0.0;
     }
     const double bound = accuracyLossBound(spec_.model, mode);
+    const std::vector<double>& grid = standardPGrid();
+    const std::vector<WorkloadEvaluation> evals =
+        evaluateGrid(grid, options);
     double best = 0.0;
-    for (const double p : standardPGrid()) {
-        const WorkloadEvaluation eval = evaluate(p, options);
-        if (eval.estimated_loss_pct <= bound) {
-            best = std::max(best, p);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+        if (evals[g].estimated_loss_pct <= bound) {
+            best = std::max(best, grid[g]);
         }
     }
     return best;
@@ -174,15 +282,14 @@ WorkloadRunner::simInvocations(double p, std::size_t num_inputs,
     out.reserve(coords.size() * num_inputs);
     for (const auto& coord : coords) {
         const double threshold =
-            p > 0.0 ? learnThreshold(coord, p, options.num_train_inputs)
+            p > 0.0 ? thresholds(coord, {p}, options.num_train_inputs)[0]
                     : -std::numeric_limits<double>::infinity();
         for (std::uint64_t id = 0; id < num_inputs; ++id) {
             SimInvocation inv;
             inv.coord = coord;
             inv.n_real = evalLength(id);
             inv.n_padded = spec_.dataset.padded_length;
-            inv.input = generator_.generate(coord.layer, coord.head,
-                                            inv.n_real, id);
+            inv.input = evalInput(coord, id);
             inv.threshold = threshold;
             out.push_back(std::move(inv));
         }

@@ -7,7 +7,8 @@
  *
  * Mirrors the paper's methodology (Sections III-E and V-B):
  *  - learn per-(sub-)layer thresholds from a training set for a
- *    given approximation hyperparameter p;
+ *    given approximation hyperparameter p (or a whole grid of p in
+ *    one pass);
  *  - evaluate candidate fractions, attention-mass recall, and the
  *    accuracy-loss proxy on an evaluation set;
  *  - pick p per mode (conservative / moderate / aggressive) as the
@@ -20,8 +21,11 @@
  * subsample is representative).
  */
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "attention/approx.h"
@@ -100,11 +104,45 @@ class WorkloadRunner
 
     /**
      * Learn thresholds on the training stream and evaluate fidelity
-     * on the evaluation stream for a given p.
+     * on the evaluation stream for a given p: evaluateGrid({p})[0].
      */
     WorkloadEvaluation evaluate(double p,
                                 const WorkloadEvalOptions& options = {})
         const;
+
+    /**
+     * evaluate() for every p of `ps`, in one pass over the inputs.
+     * Only each query's chosen key (threshold learning) and the
+     * candidate sets depend on p, so every training and evaluation
+     * input is generated once, and each evaluation input's exact
+     * trace and LSH hashes are computed once for all of `ps`.
+     * Entry i equals evaluate(ps[i], options) bit for bit, at any
+     * thread count (the sublayers and inputs fan out over the
+     * thread pool; their results are folded serially in order).
+     */
+    std::vector<WorkloadEvaluation>
+    evaluateGrid(const std::vector<double>& ps,
+                 const WorkloadEvalOptions& options = {}) const;
+
+    /**
+     * The learned thresholds of one sublayer, one per entry of `ps`
+     * (negative infinity for p = 0). Memoised per (sublayer,
+     * num_train_inputs, p); a miss learns the requested values
+     * together with the whole standard grid in one pass over the
+     * training inputs, so the grid's per-p callers (evaluate,
+     * simInvocations) share it. Thread-safe.
+     */
+    std::vector<double> thresholds(const SublayerCoord& coord,
+                                   const std::vector<double>& ps,
+                                   std::size_t num_train_inputs) const;
+
+    /** Training input input_id of a sublayer (deterministic). */
+    AttentionInput trainInput(const SublayerCoord& coord,
+                              std::uint64_t input_id) const;
+
+    /** Evaluation input input_id of a sublayer (deterministic). */
+    AttentionInput evalInput(const SublayerCoord& coord,
+                             std::uint64_t input_id) const;
 
     /**
      * Choose p for an operating mode: the largest value from the
@@ -137,15 +175,36 @@ class WorkloadRunner
     static const std::vector<double>& standardPGrid();
 
   private:
-    /** Learn one sublayer's threshold from the training stream. */
-    double learnThreshold(const SublayerCoord& coord, double p,
-                          std::size_t num_train_inputs) const;
+    /** Learn one sublayer's thresholds for every p of `ps` in one
+     *  pass over the training stream. */
+    std::vector<double> learnThresholds(const SublayerCoord& coord,
+                                        const std::vector<double>& ps,
+                                        std::size_t num_train_inputs)
+        const;
+
+    /** One sublayer's memoised thresholds, by p. The mutex is held
+     *  while a miss learns, so concurrent callers learn once. */
+    struct ThresholdCell
+    {
+        std::mutex m;
+        std::map<double, double> by_p;
+    };
+
+    /** Cells keyed by (layer, head, num_train_inputs); map nodes are
+     *  address-stable, so the mutex guards only the map structure. */
+    struct ThresholdMemo
+    {
+        std::mutex m;
+        std::map<std::array<std::size_t, 3>, ThresholdCell> cells;
+    };
 
     WorkloadSpec spec_;
     std::uint64_t seed_;
     QkvGenerator generator_;
     std::shared_ptr<const SrpHasher> hasher_;
     std::unique_ptr<ApproxSelfAttention> engine_;
+    std::unique_ptr<ThresholdMemo> memo_ =
+        std::make_unique<ThresholdMemo>();
 };
 
 } // namespace elsa

@@ -9,9 +9,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "attention/exact.h"
+#include "attention/metrics.h"
+#include "attention/threshold.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "tensor/ops.h"
@@ -316,6 +320,176 @@ TEST(WorkloadRunnerTest, EvalLengthsDeterministic)
     for (std::uint64_t id = 0; id < 8; ++id) {
         EXPECT_EQ(a.evalLength(id), b.evalLength(id));
     }
+}
+
+// ---- The one-pass p-grid sweep (WorkloadRunner::evaluateGrid) ----
+
+/** Bitwise equality, so -0.0 / 0.0 or NaN payloads cannot hide. */
+void
+expectSameBits(double a, double b, const char* what)
+{
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+        << what << ": " << a << " vs " << b;
+}
+
+void
+expectEvaluationsIdentical(const WorkloadEvaluation& a,
+                           const WorkloadEvaluation& b)
+{
+    expectSameBits(a.p, b.p, "p");
+    expectSameBits(a.mean_candidate_fraction, b.mean_candidate_fraction,
+                   "mean_candidate_fraction");
+    expectSameBits(a.mean_mass_recall, b.mean_mass_recall,
+                   "mean_mass_recall");
+    expectSameBits(a.worst_mass_recall, b.worst_mass_recall,
+                   "worst_mass_recall");
+    expectSameBits(a.mean_output_error, b.mean_output_error,
+                   "mean_output_error");
+    expectSameBits(a.estimated_loss_pct, b.estimated_loss_pct,
+                   "estimated_loss_pct");
+    expectSameBits(a.mean_real_tokens, b.mean_real_tokens,
+                   "mean_real_tokens");
+    ASSERT_EQ(a.thresholds.size(), b.thresholds.size());
+    EXPECT_EQ(std::memcmp(a.thresholds.data(), b.thresholds.data(),
+                          a.thresholds.size() * sizeof(double)),
+              0);
+}
+
+WorkloadEvalOptions
+smallGridOptions()
+{
+    WorkloadEvalOptions options;
+    options.max_sublayers = 3;
+    options.num_eval_inputs = 2;
+    options.num_train_inputs = 2;
+    return options;
+}
+
+/** Restores the default global pool size when a test exits. */
+struct GlobalThreadsGuard
+{
+    explicit GlobalThreadsGuard(std::size_t n)
+    {
+        ThreadPool::setGlobalThreads(n);
+    }
+    ~GlobalThreadsGuard() { ThreadPool::setGlobalThreads(0); }
+};
+
+class WorkloadGridTest : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(WorkloadGridTest, GridEqualsPerPEvaluate)
+{
+    const GlobalThreadsGuard threads(GetParam());
+    const WorkloadEvalOptions options = smallGridOptions();
+    const std::vector<double>& grid = WorkloadRunner::standardPGrid();
+    for (const WorkloadSpec& spec : {WorkloadSpec{bertLarge(), squadV11()},
+                                     WorkloadSpec{sasRec(), movieLens1M()}}) {
+        SCOPED_TRACE(spec.label());
+        const WorkloadRunner runner(spec);
+        const std::vector<WorkloadEvaluation> swept =
+            runner.evaluateGrid(grid, options);
+        ASSERT_EQ(swept.size(), grid.size());
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            SCOPED_TRACE(grid[g]);
+            // A fresh runner per p: nothing is shared with the sweep.
+            const WorkloadRunner single(spec);
+            expectEvaluationsIdentical(swept[g],
+                                       single.evaluate(grid[g], options));
+        }
+    }
+}
+
+TEST_P(WorkloadGridTest, GridThresholdsEqualPerPLearner)
+{
+    const GlobalThreadsGuard threads(GetParam());
+    const WorkloadEvalOptions options = smallGridOptions();
+    const std::vector<double>& grid = WorkloadRunner::standardPGrid();
+    const WorkloadRunner runner({bertLarge(), squadV11()});
+    const std::vector<WorkloadEvaluation> swept =
+        runner.evaluateGrid(grid, options);
+    const auto coords =
+        runner.representativeSublayers(options.max_sublayers);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+        ASSERT_EQ(swept[g].thresholds.size(), coords.size());
+        for (std::size_t c = 0; c < coords.size(); ++c) {
+            ThresholdLearner learner(grid[g]);
+            for (std::uint64_t id = 0; id < options.num_train_inputs;
+                 ++id) {
+                const AttentionInput train =
+                    runner.trainInput(coords[c], id);
+                learner.observe(train.query, train.key);
+            }
+            expectSameBits(swept[g].thresholds[c], learner.threshold(),
+                           "grid threshold");
+        }
+    }
+}
+
+TEST_P(WorkloadGridTest, EmptySelectionsContributeNoMass)
+{
+    // At p = 32 the learned thresholds exceed some queries' best
+    // approximate similarity, so the argmax fallback fires. Mass
+    // recall must still score the lists before the fallback, i.e.
+    // equal measureFidelity on candidatesForAll, query for query.
+    const GlobalThreadsGuard threads(GetParam());
+    const WorkloadEvalOptions options = smallGridOptions();
+    const WorkloadRunner runner({sasRec(), movieLens1M()});
+    const std::vector<WorkloadEvaluation> swept =
+        runner.evaluateGrid({2.0, 32.0}, options);
+    const WorkloadEvaluation& high = swept[1];
+    const auto coords =
+        runner.representativeSublayers(options.max_sublayers);
+    const ApproxSelfAttention& engine = runner.engine();
+
+    std::size_t empty = 0;
+    RunningStat fraction;
+    RunningStat recall;
+    RunningStat error;
+    double worst = 1.0;
+    for (std::size_t c = 0; c < coords.size(); ++c) {
+        for (std::uint64_t id = 0; id < options.num_eval_inputs; ++id) {
+            const AttentionInput input = runner.evalInput(coords[c], id);
+            const double t = high.thresholds[c];
+            const ApproxAttentionResult result = engine.run(input, t);
+            const FidelityReport fidelity = measureFidelity(
+                input, engine.candidatesForAll(input, t), result.output);
+            empty += result.stats.empty_selections;
+            fraction.add(result.stats.candidateFraction(input.n()));
+            recall.add(fidelity.mass_recall);
+            error.add(fidelity.output_relative_error);
+            worst = std::min(worst, fidelity.mass_recall);
+        }
+    }
+    EXPECT_GT(empty, 0u);
+    expectSameBits(high.mean_candidate_fraction, fraction.mean(),
+                   "mean_candidate_fraction");
+    expectSameBits(high.mean_mass_recall, recall.mean(),
+                   "mean_mass_recall");
+    expectSameBits(high.worst_mass_recall, worst, "worst_mass_recall");
+    expectSameBits(high.mean_output_error, error.mean(),
+                   "mean_output_error");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, WorkloadGridTest,
+                         ::testing::Values(1, 2, 8));
+
+TEST(WorkloadGridTest, RunReturnsSelectionsBeforeFallback)
+{
+    const WorkloadRunner runner({sasRec(), movieLens1M()});
+    const ApproxSelfAttention& engine = runner.engine();
+    const SublayerCoord coord{1, 0};
+    const AttentionInput input = runner.evalInput(coord, 0);
+    const double t = runner.thresholds(coord, {32.0}, 2)[0];
+    std::vector<std::vector<std::uint32_t>> selected;
+    const ApproxAttentionResult result = engine.run(input, t, &selected);
+    const ApproxAttentionResult plain = engine.run(input, t);
+    EXPECT_GT(result.stats.empty_selections, 0u);
+    EXPECT_EQ(selected, engine.candidatesForAll(input, t));
+    EXPECT_TRUE(result.output == plain.output);
+    EXPECT_EQ(result.stats.candidates_per_query,
+              plain.stats.candidates_per_query);
 }
 
 } // namespace
