@@ -3,18 +3,18 @@
 
 /**
  * @file
- * Shared helpers for the figure-reproduction benchmark binaries.
+ * Shared helpers of the elsa_bench suite driver and micro_kernels.
  *
- * Every bench prints a self-describing table: the paper artifact it
- * regenerates, the workloads/parameters, and the measured series.
- * EXPERIMENTS.md records the paper-vs-measured comparison.
+ * Every elsa_bench entry prints a self-describing table: the paper
+ * artifact it regenerates, the workloads/parameters, and the
+ * measured series. EXPERIMENTS.md records the paper-vs-measured
+ * comparison.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "common/args.h"
 #include "common/stats.h"
 #include "elsa/system.h"
 #include "obs/manifest.h"
@@ -34,7 +34,7 @@ printHeader(const char* artifact, const char* description)
                 "=============================\n");
 }
 
-/** The evaluation settings shared by the Fig. 11 / Fig. 13 benches. */
+/** The evaluation depth of the mode-reading elsa_bench entries. */
 inline SystemConfig
 standardSystemConfig()
 {
@@ -50,7 +50,7 @@ standardSystemConfig()
 /**
  * Run manifest pre-filled with build provenance and the evaluation
  * configuration; the bench adds its headline numbers to the
- * "metrics" section and hands it to emitBenchSummary().
+ * "metrics" section.
  */
 inline obs::RunManifest
 makeBenchManifest(const char* artifact, const SystemConfig& config,
@@ -85,21 +85,6 @@ emitBenchSummary(const obs::RunManifest& manifest)
 {
     std::printf("BENCH_JSON %s\n",
                 manifest.toJson(/*pretty=*/false).c_str());
-}
-
-/**
- * emitBenchSummary() plus, when the bench was invoked with
- * --manifest <path>, the same single-line JSON written to that file
- * (the BENCH_*.json format).
- */
-inline void
-emitBenchSummary(const obs::RunManifest& manifest,
-                 const ArgParser& args)
-{
-    emitBenchSummary(manifest);
-    if (args.has("manifest")) {
-        manifest.writeFile(args.get("manifest"), /*pretty=*/false);
-    }
 }
 
 /** Collects per-workload values and reports the geometric mean. */

@@ -47,9 +47,10 @@ main()
     auto hasher = std::make_shared<KroneckerSrpHasher>(
         KroneckerSrpHasher::makeRandom(spec.model.head_dim, 3, rng,
                                        /*quantize_factors=*/true));
-    const SimConfig config = SimConfig::paperConfig();
+    // The run's own candidate lists feed the recall column.
+    SimConfig config = SimConfig::paperConfig();
+    config.collect_query_trace = true;
     Accelerator accelerator(config, hasher, kThetaBias64);
-    ApproxSelfAttention engine(hasher, kThetaBias64);
 
     const GpuModel gpu;
     const IdealAccelerator ideal;
@@ -77,8 +78,15 @@ main()
         const double us =
             static_cast<double>(run.totalCycles())
             / (config.frequency_ghz * 1e3);
-        const auto candidates =
-            engine.candidatesForAll(input, threshold);
+        // Recall of the selection itself: a query that selected
+        // nothing scores 0, not its fallback key.
+        std::vector<std::vector<std::uint32_t>> candidates =
+            run.query_candidates;
+        for (const QueryTraceRecord& record : run.query_trace) {
+            if (record.used_fallback) {
+                candidates[record.query_id].clear();
+            }
+        }
         const double recall = attentionMassRecall(input, candidates);
         std::printf("%-8.1f %9.1f%% %12zu %12.2f %13.1fx %10.4f\n",
                     p, 100.0 * run.candidateFraction(),

@@ -93,11 +93,11 @@ class BlockedSelfAttention
                   const ApproxSelfAttention& engine,
                   const std::vector<double>& thresholds) const;
 
-  private:
     /** Slice rows [begin, end) of the input. */
     static AttentionInput slice(const AttentionInput& input,
                                 std::size_t begin, std::size_t end);
 
+  private:
     BlockedAttentionConfig config_;
 };
 

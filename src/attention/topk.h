@@ -10,9 +10,10 @@
  * The paper dismisses this because sorting is O(n log n) and hard to
  * implement in hardware at line rate; this module implements it
  * anyway so the repository can quantify the *quality* difference at
- * equal candidate budgets (bench/ablation_topk_vs_threshold) and the
- * cost difference, demonstrating that the threshold scheme loses
- * little quality while being a single compare per key.
+ * equal candidate budgets (`elsa_bench --bench
+ * ablation_topk_vs_threshold`) and the cost difference,
+ * demonstrating that the threshold scheme loses little quality while
+ * being a single compare per key.
  */
 
 #include <cstddef>

@@ -6,9 +6,9 @@
  * Run manifest: one JSON document that makes a simulator/bench run
  * reproducible and comparable after the fact -- which binary, which
  * build (git describe, compiler, build type), which configuration,
- * which seed, and the headline metrics. Every bench binary emits one
- * through bench/bench_common.h; docs/OBSERVABILITY.md documents the
- * schema.
+ * which seed, and the headline metrics. Every elsa_bench entry
+ * reports one (bench/elsa_bench.cc), as does micro_kernels;
+ * docs/OBSERVABILITY.md documents the schema.
  *
  * The manifest is deliberately flat: named sections of ordered
  * key/value scalars. Anything richer (per-query series, histograms)

@@ -7,12 +7,20 @@
       must be identical apart from wall_seconds, and stdout identical
       apart from the `threads:` header, the mode-evaluation wall-time
       line and the wall_seconds / threads / hardware_concurrency
-      fields.
+      fields. Each entry's config must describe what it ran: the
+      entries that read the mode-evaluation phase record its
+      sim_inputs, and table1_area_power and ext_fault_sweep do not.
 
   bench_driver_test.py fault-log ELSA_BENCH WORKDIR
       Runs the full ext_fault_sweep entry, whose table is longer than
       any fixed line buffer, and requires its last grid row whole and
       the entry's BENCH_JSON line starting at column 0.
+
+  bench_driver_test.py list ELSA_BENCH DESIGN_MD
+      Every experiment row (`| EXP-...`) of DESIGN.md's experiment
+      index names an `elsa_bench --bench <id>` that `elsa_bench
+      --list` prints, and every listed id but kernel_throughput has a
+      row.
 
 Exit status 0 on success, 1 on a failed check.
 """
@@ -25,6 +33,16 @@ import sys
 
 # Entries whose metrics are host timings, not simulated results.
 TIMED_ENTRIES = {"kernel_throughput"}
+
+# Entries that read the mode-evaluation phase, and two that do not.
+MODE_READERS = {"fig10_accuracy_vs_p", "fig11a_throughput",
+                "fig11b_latency", "fig13a_energy_efficiency",
+                "fig13b_energy_breakdown", "disc_a3_comparison",
+                "disc_tpu_comparison", "bottleneck_attribution"}
+NO_MODE_CONFIG = {"table1_area_power", "ext_fault_sweep"}
+
+INDEX_ROW = re.compile(r"^\| EXP-")
+INDEX_TARGET = re.compile(r"`elsa_bench --bench ([a-z0-9_]+)`")
 
 # Per-run fields of the BENCH_JSON lines: host time and environment.
 RUN_FIELD = re.compile(
@@ -60,10 +78,27 @@ def metrics_without_wall(results_path):
     return out
 
 
-def check_threads(elsa_bench, workdir):
+def listed_entries(elsa_bench, workdir):
     listing = run([elsa_bench, "--list"], workdir)
-    entries = [line.split()[0] for line in listing.splitlines()
-               if line.strip()]
+    return [line.split()[0] for line in listing.splitlines()
+            if line.strip()]
+
+
+def config_failures(results_path):
+    with open(results_path) as f:
+        benches = json.load(f)["benches"]
+    failures = []
+    for name in sorted(MODE_READERS | NO_MODE_CONFIG):
+        has = "sim_inputs" in benches[name]["config"]
+        if has != (name in MODE_READERS):
+            failures.append(f"FAIL: config of {name} "
+                            f"{'records' if has else 'lacks'} "
+                            f"sim_inputs")
+    return failures
+
+
+def check_threads(elsa_bench, workdir):
+    entries = listed_entries(elsa_bench, workdir)
     selected = ",".join(e for e in entries if e not in TIMED_ENTRIES)
     runs = {}
     for threads in ("1", "4"):
@@ -91,8 +126,13 @@ def check_threads(elsa_bench, workdir):
         else:
             print("FAIL: stdout line counts differ")
         return 1
+    failures = config_failures(
+        os.path.join(workdir, "threads1", "BENCH_RESULTS.json"))
+    if failures:
+        print("\n".join(failures))
+        return 1
     print(f"ok: {len(runs['1'][1])} entries identical at --threads "
-          f"1 and 4")
+          f"1 and 4; configs record what each entry ran")
     return 0
 
 
@@ -111,12 +151,40 @@ def check_fault_log(elsa_bench, workdir):
     return 0
 
 
+def check_index(elsa_bench, design_md):
+    listed = set(listed_entries(elsa_bench, os.getcwd()))
+    with open(design_md) as f:
+        rows = [line for line in f if INDEX_ROW.match(line)]
+    failures = []
+    indexed = set()
+    for row in rows:
+        targets = INDEX_TARGET.findall(row)
+        if len(targets) != 1 or targets[0] not in listed:
+            failures.append(f"FAIL: DESIGN.md row names no listed "
+                            f"elsa_bench entry: {row.strip()}")
+        indexed.update(targets)
+    for name in sorted(listed - TIMED_ENTRIES - indexed):
+        failures.append(f"FAIL: elsa_bench entry {name} has no "
+                        f"DESIGN.md experiment row")
+    if not rows:
+        failures.append("FAIL: no experiment rows in DESIGN.md")
+    if failures:
+        print("\n".join(failures))
+        return 1
+    print(f"ok: {len(rows)} DESIGN.md experiment rows match "
+          f"elsa_bench --list")
+    return 0
+
+
+CHECKS = {"threads": check_threads, "fault-log": check_fault_log,
+          "list": check_index}
+
+
 def main(argv):
-    if len(argv) != 4 or argv[1] not in ("threads", "fault-log"):
+    if len(argv) != 4 or argv[1] not in CHECKS:
         sys.stderr.write(__doc__)
         return 2
-    check = check_threads if argv[1] == "threads" else check_fault_log
-    return check(argv[2], argv[3])
+    return CHECKS[argv[1]](argv[2], argv[3])
 
 
 if __name__ == "__main__":
